@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import List, Optional
+from dataclasses import dataclass, replace as dc_replace
+from typing import Optional
 
 import numpy as np
 
-from .candidates import CandidateSet, draw_candidates
+from .candidates import CandidateSet, combine_atoms, draw_candidates
 from .engine import (EngineConfig, IterationRecord, Trajectory,
                      default_candidate_count, metrics_against, round_half_up,
                      run_iteration)
@@ -55,8 +55,9 @@ class ScoreHistory:
     def max_scores(self) -> np.ndarray:
         return self.scores.max(axis=1)
 
-    def most_recent(self) -> np.ndarray:
-        return self.scores[:, 0]
+    def copy(self) -> "ScoreHistory":
+        return ScoreHistory(scores=self.scores.copy(), birth=self.birth.copy(),
+                            filled=self.filled)
 
     def delete(self, indices) -> None:
         keep = np.ones(self.scores.shape[0], dtype=bool)
@@ -85,7 +86,6 @@ class AdaptiveConfig:
     start_prune: Optional[int] = None           # default 2m
     freeze_add_tail: Optional[int] = None       # default 3m
     candidate_count: Optional[int] = None       # L; default round(log d)
-    deterministic_reduction: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.mu_max < 1.0):
@@ -120,28 +120,11 @@ class AdaptiveConfig:
         return resolved
 
 
-@dataclass
-class SparsityState:
-    """Current working sparsity level plus its estimate history."""
-
-    level: int = 1
-    s_bar_history: List[float] = field(default_factory=list)
-    s_t: float = 0.0
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("sparsity level must be >= 1")
-
-
-def update_sparsity(state: SparsityState, s_bar: float, *,
-                    max_level: int) -> SparsityState:
+def update_sparsity(level: int, s_bar: float, *, max_level: int) -> int:
     """Move the level one step towards the batch estimate, clamped to
     [1, max_level]."""
-    step = int(sign_pm(s_bar - state.level)) if s_bar != state.level else 0
-    new_level = min(max(state.level + step, 1), max(1, max_level))
-    return SparsityState(level=new_level,
-                         s_bar_history=state.s_bar_history + [float(s_bar)],
-                         s_t=state.s_t)
+    step = int(sign_pm(s_bar - level)) if s_bar != level else 0
+    return min(max(level + step, 1), max(1, max_level))
 
 
 def prune_coherent(dico: Dictionary, history: ScoreHistory, mu_max: float):
@@ -155,14 +138,13 @@ def prune_coherent(dico: Dictionary, history: ScoreHistory, mu_max: float):
     Returns (dictionary, history, merge_count).
     """
     atoms = dico.atoms.copy()
-    hist = ScoreHistory(scores=history.scores.copy(), birth=history.birth.copy(),
-                        filled=history.filled)
+    hist = history.copy()
     k = atoms.shape[1]
     if k < 2:
         return dico, hist, 0
-    hollow = np.abs(atoms.T @ atoms)
-    np.fill_diagonal(hollow, 0.0)
     gram = atoms.T @ atoms
+    hollow = np.abs(gram)
+    np.fill_diagonal(hollow, 0.0)
     to_delete = []
     while True:
         flat = int(np.argmax(hollow))
@@ -171,17 +153,9 @@ def prune_coherent(dico: Dictionary, history: ScoreHistory, mu_max: float):
             break
         a, b = (i, j) if i < j else (j, i)
         h = float(sign_pm(gram[a, b]))
-        v_a = float(hist.scores[a, 0])
-        v_b = float(hist.scores[b, 0])
-        if v_a + v_b <= 0:
-            vec = atoms[:, b] + h * atoms[:, a]
-        else:
-            vec = v_b * atoms[:, b] + h * v_a * atoms[:, a]
-        norm = np.linalg.norm(vec)
-        if norm < 1e-12:
-            vec = atoms[:, a]
-            norm = 1.0
-        atoms[:, a] = vec / norm
+        atoms[:, a] = combine_atoms("merge", atoms[:, a], atoms[:, b],
+                                    float(hist.scores[a, 0]),
+                                    float(hist.scores[b, 0]), h)
         hist.scores[a, 0] += hist.scores[b, 0]
         to_delete.append(b)
         hollow[[a, b], :] = 0.0
@@ -225,8 +199,7 @@ def prune_unused(dico: Dictionary, history: ScoreHistory, min_observations: int,
         return dico, history, 0
     keep = np.ones(k, dtype=bool)
     keep[eligible] = False
-    hist = ScoreHistory(scores=history.scores.copy(), birth=history.birth.copy(),
-                        filled=history.filled)
+    hist = history.copy()
     hist.delete(eligible)
     return Dictionary(dico.atoms[:, keep]), hist, int(eligible.size)
 
@@ -250,8 +223,6 @@ def add_atoms(dico: Dictionary, history: ScoreHistory, cands: CandidateSet,
         return dico, history, 0
     atoms = dico.atoms
     added = 0
-    hist = ScoreHistory(scores=history.scores.copy(), birth=history.birth.copy(),
-                        filled=history.filled)
     for idx in order:
         gamma = cands.atoms[:, idx]
         if float(np.abs(gamma @ atoms).max()) <= mu_max:
@@ -259,6 +230,7 @@ def add_atoms(dico: Dictionary, history: ScoreHistory, cands: CandidateSet,
             added += 1
     if added == 0:
         return dico, history, 0
+    hist = history.copy()
     hist.append(added, initial_score, iteration)
     return Dictionary(atoms), hist, added
 
@@ -280,18 +252,17 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     m = cfg.memory
     dico = dico0
     history = ScoreHistory.empty(dico.K, m)
-    sparsity = SparsityState(level=1)
+    level = 1
     traj = Trajectory()
     for t in range(1, iterations + 1):
         t0 = time.perf_counter()
         batch = signal_source.batch(t)
         engine_cfg = EngineConfig(
-            sparsity=min(sparsity.level, d, dico.K),
+            sparsity=min(level, d, dico.K),
             variant="adaptive",
             candidate_count=cfg.candidate_count,
             candidate_subbatches=m,
             min_observations=cfg.min_observations,
-            deterministic_reduction=cfg.deterministic_reduction,
         )
         cands = draw_candidates(d, cfg.candidate_count, rng)
         out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng)
@@ -310,18 +281,13 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
                 cfg.candidate_add_threshold, cfg.min_observations, iteration=t)
         s_bar_raw = out.sparsity_accumulator / out.signals_used
         if t >= cfg.start_adapt:
-            sparsity = update_sparsity(sparsity, out.s_bar,
-                                       max_level=min(d, dico.K))
+            level = update_sparsity(level, out.s_bar, max_level=min(d, dico.K))
         else:
-            sparsity = SparsityState(
-                level=min(sparsity.level, max(1, min(d, dico.K))),
-                s_bar_history=sparsity.s_bar_history + [float(out.s_bar)],
-                s_t=sparsity.s_t)
-        sparsity.s_t = out.s_t
+            level = min(level, max(1, min(d, dico.K)))
         dist, mean_dist, rate = metrics_against(reference, dico, recovery_threshold)
         traj.records.append(IterationRecord(
             iteration=t, distance=dist, mean_atom_distance=mean_dist,
-            recovery_rate=rate, n_atoms=dico.K, sparsity=sparsity.level,
+            recovery_rate=rate, n_atoms=dico.K, sparsity=level,
             s_bar=out.s_bar, replaced=0, pruned=merges + pruned, added=added,
             wallclock_ms=(time.perf_counter() - t0) * 1e3,
             s_bar_raw=s_bar_raw, s_t=out.s_t, merges=merges,

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Dictionary, Support, atom_distances, solve_normal_equations
+from .linalg import Dictionary, Support, solve_normal_equations
 from .signals import SignalBatch
 
 OMP_RESIDUAL_TOL = 1e-12
@@ -55,11 +55,6 @@ class ApproxReport:
     sparsity_levels: np.ndarray
     relative_errors: np.ndarray
     n_signals: int
-    per_signal_errors: Optional[np.ndarray] = None  # (len(levels), N)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.n_signals == 0
 
 
 def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
@@ -104,8 +99,7 @@ def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
 
 def approximation_power(dico: Dictionary, batch: SignalBatch,
                         s_range: Sequence[int], augment_flat: bool = True,
-                        force_flat: bool = False,
-                        keep_per_signal: bool = False) -> ApproxReport:
+                        force_flat: bool = False) -> ApproxReport:
     """Relative approximation error of OMP over a range of sparsity levels.
 
     With ``augment_flat`` the constant atom 1/sqrt(d) is prepended and
@@ -133,10 +127,4 @@ def approximation_power(dico: Dictionary, batch: SignalBatch,
     errors_sq = _batched_omp_errors(atoms, y, s_max, preselect=preselect)
     total = float(np.einsum("ij,ij->", y, y))
     rel = errors_sq[levels - 1].sum(axis=1) / total
-    per_signal = errors_sq[levels - 1] if keep_per_signal else None
-    return ApproxReport(levels, rel, y.shape[1], per_signal)
-
-
-def sorted_atom_errors(reference: Dictionary, estimate: Dictionary) -> np.ndarray:
-    """Per-reference-atom recovery errors, ascending."""
-    return np.sort(atom_distances(reference, estimate))
+    return ApproxReport(levels, rel, y.shape[1])

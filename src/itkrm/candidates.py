@@ -18,6 +18,10 @@ from .linalg import Dictionary, sign_pm
 # Accumulator columns smaller than this are considered never used and redrawn.
 ZERO_ACC_TOL = 1e-12
 
+# Pre-normalization atom norms below this floor freeze the atom for the
+# iteration, zero its value counter and mark it unused for replacement.
+DEAD_ATOM_FLOOR = 1e-3
+
 
 @dataclass
 class CandidateSet:
@@ -50,10 +54,6 @@ class CandidateSet:
     @property
     def L(self) -> int:
         return self.atoms.shape[1]
-
-    @property
-    def subbatch_index(self) -> int:
-        return self.signals_seen // self.subbatch_size if self.subbatch_size else 0
 
 
 def draw_candidates(d: int, count: int, rng: np.random.Generator) -> CandidateSet:
@@ -150,16 +150,17 @@ class ReplacementPolicy:
             raise ValueError(f"unknown combine mode {self.combine!r}")
 
 
-def combine_atoms(policy: ReplacementPolicy, atom_k: np.ndarray, atom_kp: np.ndarray,
+def combine_atoms(mode: str, atom_k: np.ndarray, atom_kp: np.ndarray,
                   v_k: float, v_kp: float, h: float) -> np.ndarray:
     """Merged replacement for a coherent pair, normalized.
 
-    delete keeps the higher-scored atom (ties keep the first), merge weights
-    by scores, add combines unweighted.
+    ``mode`` is a ReplacementPolicy combine mode: delete keeps the
+    higher-scored atom (ties keep the first), merge weights by scores, add
+    combines unweighted.
     """
-    if policy.combine == "delete":
+    if mode == "delete":
         vec = h * atom_k if v_k >= v_kp else atom_kp
-    elif policy.combine == "merge":
+    elif mode == "merge":
         if v_k + v_kp <= 0:
             vec = atom_kp + h * atom_k
         else:
@@ -208,7 +209,8 @@ def replace_coherent(dico: Dictionary, scores: np.ndarray, cands: CandidateSet,
         if pair_coh <= policy.mu_max:
             break
         h = float(sign_pm(pair_ip))
-        merged = combine_atoms(policy, atoms[:, k], atoms[:, kp], v[k], v[kp], h)
+        merged = combine_atoms(policy.combine, atoms[:, k], atoms[:, kp],
+                               v[k], v[kp], h)
         rest = np.ones(atoms.shape[1], dtype=bool)
         rest[[k, kp]] = False
         if rest.any():
@@ -235,11 +237,11 @@ def replace_coherent(dico: Dictionary, scores: np.ndarray, cands: CandidateSet,
 
 def replace_unused(dico: Dictionary, scores: np.ndarray, cands: CandidateSet,
                    policy: ReplacementPolicy, raw_norms: np.ndarray | None = None,
-                   energy_floor: float = 1e-3, event_log: list | None = None):
+                   event_log: list | None = None):
     """Swap leftover candidates into atoms that were never reliably used.
 
     An atom counts as unused when its score is zero or its pre-normalization
-    energy fell below ``energy_floor``.  Candidates are consumed in score
+    norm fell below DEAD_ATOM_FLOOR.  Candidates are consumed in score
     order and must pass the mu_max coherence test against the rest of the
     dictionary; unused atoms beyond the candidate supply stay unchanged.
 
@@ -247,7 +249,7 @@ def replace_unused(dico: Dictionary, scores: np.ndarray, cands: CandidateSet,
     """
     unused = np.asarray(scores) == 0
     if raw_norms is not None:
-        unused |= np.asarray(raw_norms) < energy_floor
+        unused |= np.asarray(raw_norms) < DEAD_ATOM_FLOOR
     if not unused.any() or cands.L == 0:
         return dico, 0
     atoms = dico.atoms.copy()

@@ -1,14 +1,8 @@
-"""Binary container for dictionaries, signal batches and truth sidecars.
+"""Binary container for matrices and dictionaries.
 
-Layout of the main container: magic ``SPDK1`` (5 bytes), then the two array
-dimensions as 64-bit little-endian unsigned integers, then the matrix entries
-as 64-bit floats in column-major order.  Dictionaries and signal batches use
-the same layout (columns are atoms resp. signals).
-
-The truth sidecar uses magic ``SPTR1`` followed by (n_signals, max_support)
-as 64-bit little-endian, the support indices as 32-bit little-endian signed
-integers (-1 padding), and the signs as int8, both row-major (one row per
-signal).
+Layout: magic ``SPDK1`` (5 bytes), then the two array dimensions as 64-bit
+little-endian unsigned integers, then the matrix entries as 64-bit floats in
+column-major order.  A dictionary is stored as its d x K atom matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +15,6 @@ import numpy as np
 from .linalg import Dictionary
 
 MAGIC_MATRIX = b"SPDK1"
-MAGIC_TRUTH = b"SPTR1"
 
 _HEADER = struct.Struct("<QQ")
 
@@ -56,41 +49,3 @@ def write_dictionary(path, dico: Dictionary) -> None:
 def read_dictionary(path) -> Dictionary:
     return Dictionary(read_matrix(path))
 
-
-def write_batch(path, batch, truth_path=None) -> None:
-    """Write a signal batch; the truth sidecar goes to ``truth_path`` if given."""
-    write_matrix(path, batch.signals)
-    if truth_path is not None:
-        if batch.truth is None:
-            raise ValueError("batch carries no ground truth")
-        write_truth_sidecar(truth_path, batch.truth.support, batch.truth.signs)
-
-
-def read_batch(path):
-    from .signals import SignalBatch
-    return SignalBatch(signals=read_matrix(path))
-
-
-def write_truth_sidecar(path, support: np.ndarray, signs: np.ndarray) -> None:
-    support = np.asarray(support, dtype=np.int32)
-    signs = np.asarray(signs, dtype=np.int8)
-    if support.shape != signs.shape or support.ndim != 2:
-        raise ValueError("support and signs must share a 2-d shape")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_TRUTH)
-        fh.write(_HEADER.pack(support.shape[0], support.shape[1]))
-        fh.write(support.astype("<i4").tobytes(order="C"))
-        fh.write(signs.tobytes(order="C"))
-
-
-def read_truth_sidecar(path):
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC_TRUTH) + _HEADER.size or data[:5] != MAGIC_TRUTH:
-        raise ValueError(f"{path}: not a truth sidecar")
-    n, s = _HEADER.unpack_from(data, 5)
-    body = data[5 + _HEADER.size:]
-    if len(body) != n * s * 4 + n * s:
-        raise ValueError(f"{path}: truncated truth sidecar")
-    support = np.frombuffer(body[: n * s * 4], dtype="<i4").reshape(n, s).copy()
-    signs = np.frombuffer(body[n * s * 4:], dtype=np.int8).reshape(n, s).copy()
-    return support, signs

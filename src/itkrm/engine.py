@@ -11,10 +11,8 @@ and accumulates the recoverable-sparsity estimate that drives the adaptive
 sparsity update.
 
 The batched implementation walks the signals in sub-batch chunks whose walls
-coincide with the candidate renormalization boundaries; with
-``deterministic_reduction`` the per-chunk partial sums are combined with a
-pairwise tree so the result does not depend on how the chunks are farmed
-out.
+coincide with the candidate renormalization boundaries, and combines the
+per-chunk partial sums with a pairwise tree.
 """
 
 from __future__ import annotations
@@ -26,16 +24,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .candidates import (CandidateSet, ReplacementPolicy, candidate_threshold,
-                         draw_candidates, normalize_subbatch, replace_coherent,
-                         replace_unused)
+from .candidates import (DEAD_ATOM_FLOOR, CandidateSet, ReplacementPolicy,
+                         candidate_threshold, draw_candidates,
+                         normalize_subbatch, replace_coherent, replace_unused)
 from .linalg import (Dictionary, Support, asym_distance, mean_atom_distance,
                      recovery_rate, sign_pm, solve_normal_equations)
 from .signals import SignalBatch, SignalModel, generate_batch, rng_from_seed
-
-# Pre-normalization atom norms below this floor freeze the atom for the
-# iteration and zero its value counter.
-DEAD_ATOM_FLOOR = 1e-3
 
 # Residuals below this fraction of the signal norm count as zero for
 # candidate attribution.
@@ -62,7 +56,6 @@ class EngineConfig:
     candidate_count: Optional[int] = None       # L, default round(log d)
     candidate_subbatches: Optional[int] = None  # m, default round(log d)
     min_observations: Optional[int] = None      # M, adaptive counter only
-    deterministic_reduction: bool = True
 
     def __post_init__(self):
         if self.sparsity < 1:
@@ -229,15 +222,6 @@ def _pairwise_sum(parts: List[np.ndarray]) -> np.ndarray:
     return parts[0]
 
 
-def _combine(parts: List[np.ndarray], pairwise: bool) -> np.ndarray:
-    if pairwise:
-        return _pairwise_sum(parts)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
-
-
 def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                   candidates: Optional[CandidateSet] = None,
                   rng: Optional[np.random.Generator] = None) -> IterationOutput:
@@ -340,9 +324,8 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
             normalize_subbatch(candidates, rng,
                                reset_scores=(cfg.variant == "adaptive"))
 
-    pairwise = cfg.deterministic_reduction
-    raw = _combine(acc_parts, pairwise) + atoms * _combine(colsum_parts, pairwise)
-    scores = _combine(score_parts, pairwise).astype(np.int64)
+    raw = _pairwise_sum(acc_parts) + atoms * _pairwise_sum(colsum_parts)
+    scores = _pairwise_sum(score_parts).astype(np.int64)
     raw_norms = np.linalg.norm(raw, axis=0)
     dead = raw_norms < DEAD_ATOM_FLOOR
     new_atoms = np.where(dead[None, :], atoms,

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, fields, replace as dc_replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,6 +36,7 @@ SCENARIOS = ("plain_recovery", "replacement_compare", "adaptive_synthetic",
 
 DICT_KINDS = ("random-sphere", "dirac-hadamard")
 
+# CSV header, one column per IterationRecord field in field order.
 TRAJECTORY_COLUMNS = ("iter", "distance", "mean_atom_distance", "recovery_rate",
                       "K", "S_e", "S_bar", "replaced", "pruned", "added",
                       "wallclock_ms", "S_bar_raw", "S_t", "merges",
@@ -202,10 +203,7 @@ def _fmt(value) -> str:
 
 
 def record_row(rec: IterationRecord) -> list:
-    return [rec.iteration, rec.distance, rec.mean_atom_distance,
-            rec.recovery_rate, rec.n_atoms, rec.sparsity, rec.s_bar,
-            rec.replaced, rec.pruned, rec.added, rec.wallclock_ms,
-            rec.s_bar_raw, rec.s_t, rec.merges, rec.pruned_unused]
+    return [getattr(rec, f.name) for f in fields(IterationRecord)]
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
@@ -226,7 +224,7 @@ def write_rows_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> Non
 
 def aggregate_trajectories(trajectories: List[Trajectory]):
     """Per-iteration mean/std over trials; wallclock is excluded."""
-    stat_cols = TRAJECTORY_COLUMNS[1:10] + TRAJECTORY_COLUMNS[11:]
+    stat_cols = [c for c in TRAJECTORY_COLUMNS if c not in ("iter", "wallclock_ms")]
     header = ["iter", "n"]
     for col in stat_cols:
         header += [f"{col}_mean", f"{col}_std"]
@@ -264,6 +262,11 @@ def _initial_estimate(spec: ExperimentSpec, generating: Dictionary,
         return make_spurious_estimate(generating, triples)
     return make_random_sphere(spec.d, k_init,
                               rng_from_seed(derive_seed(spec.seed, 0x171, trial)))
+
+
+def _adaptive_config(spec: ExperimentSpec, d: int) -> AdaptiveConfig:
+    return AdaptiveConfig(mu_max=spec.mu_max,
+                          min_observations=resolve_min_obs(spec.min_obs, d))
 
 
 def run_trial(spec: ExperimentSpec, trial: int):
@@ -307,10 +310,8 @@ def run_trial(spec: ExperimentSpec, trial: int):
             trajectories.append((label, traj))
 
     elif spec.scenario == "adaptive_synthetic":
-        cfg = AdaptiveConfig(
-            mu_max=spec.mu_max,
-            min_observations=resolve_min_obs(spec.min_obs, spec.d))
-        traj = run_adaptive(init, model_seed_source, cfg, spec.iterations,
+        traj = run_adaptive(init, model_seed_source,
+                            _adaptive_config(spec, spec.d), spec.iterations,
                             reference=generating,
                             recovery_threshold=spec.recovery_threshold,
                             seed=derive_seed(spec.seed, 0xE, trial))
@@ -325,10 +326,8 @@ def run_trial(spec: ExperimentSpec, trial: int):
         k_init = spec.init_atoms if spec.init_atoms is not None else 64
         init = make_random_sphere(
             d, k_init, rng_from_seed(derive_seed(spec.seed, 0x171, trial)))
-        cfg = AdaptiveConfig(mu_max=spec.mu_max,
-                             min_observations=resolve_min_obs(spec.min_obs, d))
-        traj = run_adaptive(init, FixedCorpus(patches), cfg, spec.iterations,
-                            seed=derive_seed(spec.seed, 0xE, trial))
+        traj = run_adaptive(init, FixedCorpus(patches), _adaptive_config(spec, d),
+                            spec.iterations, seed=derive_seed(spec.seed, 0xE, trial))
         trajectories.append(("adaptive", traj))
         clean_patches = extract_patches(clean,
                                         PatchConfig(patch_side=spec.patch_side))
@@ -384,9 +383,8 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     manifest = {"spec": asdict(spec), "version": 1}
     if spec.scenario.startswith("adaptive"):
         d_eff = spec.patch_side ** 2 if spec.scenario == "adaptive_image" else spec.d
-        cfg = AdaptiveConfig(mu_max=spec.mu_max,
-                             min_observations=resolve_min_obs(spec.min_obs, d_eff))
-        manifest["adaptive_config"] = asdict(cfg.resolve(d_eff))
+        cfg = _adaptive_config(spec, d_eff).resolve(d_eff)
+        manifest["adaptive_config"] = asdict(cfg)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True) + "\n")
     if spec.trials == 0:

@@ -14,12 +14,10 @@ from .signals import SignalBatch
 @dataclass(frozen=True)
 class PatchConfig:
     patch_side: int = 8
-    stride: int = 1
-    remove_mean: bool = True
 
     def __post_init__(self):
-        if self.patch_side < 1 or self.stride < 1:
-            raise ValueError("patch side and stride must be positive")
+        if self.patch_side < 1:
+            raise ValueError("patch side must be positive")
 
 
 def _parse_pgm(data: bytes, path) -> np.ndarray:
@@ -94,8 +92,8 @@ def add_image_noise(img: np.ndarray, sigma: float,
 def extract_patches(img: np.ndarray, cfg: PatchConfig) -> SignalBatch:
     """All p x p patches in row-major scan order, one column per patch.
 
-    Patches are vectorized column-major within the patch; the per-patch mean
-    is removed when configured.
+    Patches are vectorized column-major within the patch, with the per-patch
+    mean removed.
     """
     img = np.asarray(img, dtype=np.float64)
     p = cfg.patch_side
@@ -103,11 +101,10 @@ def extract_patches(img: np.ndarray, cfg: PatchConfig) -> SignalBatch:
     if p > h or p > w:
         raise ValueError("patch side exceeds the image")
     windows = np.lib.stride_tricks.sliding_window_view(img, (p, p))
-    windows = windows[::cfg.stride, ::cfg.stride].reshape(-1, p, p)
+    windows = windows.reshape(-1, p, p)
     signals = windows.transpose(1, 2, 0).reshape(p * p, -1, order="F")
     signals = np.ascontiguousarray(signals, dtype=np.float64)
-    if cfg.remove_mean:
-        signals = signals - signals.mean(axis=0, keepdims=True)
+    signals = signals - signals.mean(axis=0, keepdims=True)
     return SignalBatch(signals=signals, truth=None)
 
 

@@ -199,15 +199,6 @@ def operator_norm_sq(dico: Dictionary) -> float:
     return float(np.linalg.eigvalsh(g)[-1])
 
 
-def isometry_constant(dico: Dictionary, support: Support) -> float:
-    """Largest deviation from 1 of the eigenvalues of the sub-Gram matrix."""
-    if support.indices[-1] >= dico.K:
-        raise ValueError("support index out of range")
-    sub = dico.atoms[:, support.indices]
-    w = np.linalg.eigvalsh(sub.T @ sub)
-    return float(np.abs(w - 1.0).max())
-
-
 def dictionary_diagnostics(generating: Dictionary, estimate: Dictionary) -> DiagnosticsReport:
     """Diagnostics of an estimate against a generating dictionary of equal size.
 

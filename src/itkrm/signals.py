@@ -18,6 +18,9 @@ import numpy as np
 
 from .linalg import Dictionary
 
+# Sign draws tried by _balanced_perturbation before it gives up.
+PERTURBATION_DRAWS = 100
+
 
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator keyed by a 64-bit seed plus stream indices."""
@@ -282,40 +285,6 @@ def generate_batch(model: SignalModel, n: int,
     return SignalBatch(signals=np.ascontiguousarray(y), truth=truth)
 
 
-@dataclass(frozen=True)
-class SignalStats:
-    """Monte-Carlo estimates of the coefficient statistics of a batch."""
-
-    gamma1s: float         # mean l1 norm of the in-support coefficients
-    gamma2s: float         # mean squared l2 norm of the in-support coefficients
-    dynamic_range: float   # worst c(1)/c(S)
-    gap: float             # worst c(S+1)/c(S)
-    approx_err: float      # worst ||c beyond support|| / c(1)
-    ncr: float             # worst noise-std / c(S)
-
-
-def empirical_signal_stats(batch: SignalBatch) -> SignalStats:
-    """Coefficient statistics over the non-outlier signals of a batch."""
-    if batch.truth is None:
-        raise ValueError("batch carries no ground truth")
-    t = batch.truth
-    keep = ~t.is_outlier
-    if not np.any(keep):
-        raise ValueError("batch contains only outliers")
-    coeffs = t.coeffs[keep]
-    sparsity = t.sparsity[keep]
-    gamma1 = float(coeffs.sum(axis=1).mean())
-    gamma2 = float((coeffs * coeffs).sum(axis=1).mean())
-    rows = np.arange(coeffs.shape[0])
-    c_last = coeffs[rows, sparsity - 1]
-    dynamic_range = float((coeffs[:, 0] / c_last).max())
-    # generated sequences are exactly S-sparse: everything past the support is zero
-    gap = 0.0
-    approx_err = 0.0
-    ncr = float(t.noise_std / c_last.min()) if t.noise_std > 0 else 0.0
-    return SignalStats(gamma1, gamma2, dynamic_range, gap, approx_err, ncr)
-
-
 # ---------------------------------------------------------------------------
 # special dictionaries and adversarial initializations
 
@@ -377,19 +346,23 @@ def make_spurious_estimate(generating: Dictionary, triples) -> Dictionary:
 
 def _balanced_perturbation(generating: Dictionary, j: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """Unit vector orthogonal to atom j, built from a signed sum of the others."""
+    """Unit vector orthogonal to atom j, built from a signed sum of the others.
+
+    A degenerate draw (the signed sum lies along atom j) is retried with
+    fresh signs, at most PERTURBATION_DRAWS times.
+    """
     atoms = generating.atoms
-    k = generating.K
-    signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
-    signs[j] = 0.0
-    z = atoms @ signs
     phi = atoms[:, j]
-    z = z - (phi @ z) * phi
-    norm = np.linalg.norm(z)
-    if norm < 1e-12:
-        # degenerate draw; retry with fresh signs
-        return _balanced_perturbation(generating, j, rng)
-    return z / norm
+    for _ in range(PERTURBATION_DRAWS):
+        signs = np.where(rng.random(generating.K) < 0.5, -1.0, 1.0)
+        signs[j] = 0.0
+        z = atoms @ signs
+        z = z - (phi @ z) * phi
+        norm = np.linalg.norm(z)
+        if norm >= 1e-12:
+            return z / norm
+    raise ValueError(f"no signed sum of the other atoms leaves the span of "
+                     f"atom {j} in {PERTURBATION_DRAWS} draws")
 
 
 def make_bad_initialization(generating: Dictionary, alpha: float, pair_count: int,

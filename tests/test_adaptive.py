@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 
-from itkrm.adaptive import (AdaptiveConfig, ScoreHistory, SparsityState,
-                            add_atoms, prune_coherent, prune_unused,
-                            run_adaptive, update_sparsity)
+from itkrm.adaptive import (AdaptiveConfig, ScoreHistory, add_atoms,
+                            prune_coherent, prune_unused, run_adaptive,
+                            update_sparsity)
 from itkrm.candidates import CandidateSet
 from itkrm.engine import FreshBatches
 from itkrm.linalg import Dictionary, coherence
@@ -24,15 +24,14 @@ def _history(scores_2d, birth=None, filled=None):
 # --- sparsity update ---------------------------------------------------------
 
 def test_update_sparsity_steps_of_one():
-    s = SparsityState(level=3)
-    assert update_sparsity(s, 3, max_level=10).level == 3
-    assert update_sparsity(SparsityState(level=1), 4, max_level=10).level == 2
-    assert update_sparsity(SparsityState(level=3), 1, max_level=10).level == 2
+    assert update_sparsity(3, 3, max_level=10) == 3
+    assert update_sparsity(1, 4, max_level=10) == 2
+    assert update_sparsity(3, 1, max_level=10) == 2
 
 
 def test_update_sparsity_clamps():
-    assert update_sparsity(SparsityState(level=1), 0, max_level=10).level == 1
-    assert update_sparsity(SparsityState(level=5), 9, max_level=5).level == 5
+    assert update_sparsity(1, 0, max_level=10) == 1
+    assert update_sparsity(5, 9, max_level=5) == 5
 
 
 # --- coherent pruning ----------------------------------------------------------
@@ -227,6 +226,33 @@ def test_run_adaptive_atom_count_accounting():
         assert rec.n_atoms == k_prev - rec.merges - rec.pruned_unused + rec.added
         k_prev = rec.n_atoms
         assert rec.n_atoms >= 1
+
+
+def test_run_adaptive_pinned_trajectory():
+    # integer trajectory of one small seeded run: merges, unused prunes and
+    # adds all happen; any change to the random stream or to a decision
+    # rule shows here
+    d = 16
+    gen = make_random_sphere(d, 24, rng_from_seed(7, 1))
+    init = make_random_sphere(d, 30, rng_from_seed(7, 2))
+    model = SignalModel(dictionary=gen, coeffs=BalancedCoefficients(1),
+                        noise_std_per_component=1.0 / math.sqrt(16 * d),
+                        outlier_rate=0.05, outlier_std_per_component=1.0 / d,
+                        seed=7)
+    cfg = AdaptiveConfig(min_observations=16, candidate_add_threshold=8,
+                         freeze_add_tail=2)
+    traj = run_adaptive(init, FreshBatches(model, 600), cfg, 12,
+                        reference=gen, seed=7)
+
+    def column(name):
+        return [getattr(r, name) for r in traj.records]
+
+    assert column("n_atoms") == [21, 21, 24, 25, 28, 28, 27, 28, 25, 26, 25, 24]
+    assert column("sparsity") == [1] * 12
+    assert column("s_bar") == [0] + [1] * 11
+    assert column("merges") == [9, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert column("pruned_unused") == [0, 0, 0, 0, 0, 3, 3, 2, 3, 1, 1, 1]
+    assert column("added") == [0, 0, 3, 1, 3, 3, 2, 3, 2, 2, 0, 0]
 
 
 def test_adaptive_config_resolution():

@@ -88,7 +88,7 @@ def test_subbatch_normalization_and_adaptive_score_reset(rng):
     assert abs(cands.atoms[:, winner] @ target) == pytest.approx(1.0, abs=1e-12)
     # adaptive variant reset scores at the boundary; only 3 counted since
     assert cands.scores[winner] == 3
-    assert cands.subbatch_index == 2
+    assert cands.signals_seen == 6
 
 
 def test_candidate_threshold_values():

@@ -47,26 +47,3 @@ def test_read_rejects_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         container.read_matrix(path)
-
-
-def test_batch_roundtrip_with_truth(tmp_path, rng):
-    from itkrm.signals import BalancedCoefficients, SignalModel, generate_batch
-    dico = random_dictionary(6, 8, rng)
-    model = SignalModel(dictionary=dico, coeffs=BalancedCoefficients(2), seed=5)
-    batch = generate_batch(model, 17)
-    container.write_batch(tmp_path / "b.bin", batch, tmp_path / "b.truth")
-    back = container.read_batch(tmp_path / "b.bin")
-    assert np.array_equal(back.signals, batch.signals)
-    sup, signs = container.read_truth_sidecar(tmp_path / "b.truth")
-    assert np.array_equal(sup, batch.truth.support)
-    assert np.array_equal(signs, batch.truth.signs)
-
-
-def test_truth_sidecar_roundtrip(tmp_path, rng):
-    support = rng.integers(-1, 50, size=(11, 4)).astype(np.int32)
-    signs = rng.choice([-1, 0, 1], size=(11, 4)).astype(np.int8)
-    path = tmp_path / "truth.bin"
-    container.write_truth_sidecar(path, support, signs)
-    got_support, got_signs = container.read_truth_sidecar(path)
-    assert np.array_equal(got_support, support)
-    assert np.array_equal(got_signs, signs)

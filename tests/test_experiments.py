@@ -1,10 +1,14 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from itkrm import container
-from itkrm.experiments import (ExperimentSpec, SpecError, aggregate_trajectories,
-                               coefficient_model, resolve_min_obs, run_experiment)
+from itkrm.engine import IterationRecord, Trajectory
+from itkrm.experiments import (TRAJECTORY_COLUMNS, ExperimentSpec, SpecError,
+                               aggregate_trajectories, coefficient_model,
+                               record_row, resolve_min_obs, run_experiment,
+                               write_trajectory_csv)
 from itkrm.signals import CoefficientMixture, GeometricCoefficients
 
 
@@ -170,7 +174,6 @@ def test_manifest_suffices_to_rerun(tmp_path):
 
 
 def test_aggregate_handles_unequal_lengths(tmp_path):
-    from itkrm.engine import IterationRecord, Trajectory
     def rec(i, dist):
         return IterationRecord(iteration=i, distance=dist, mean_atom_distance=None,
                                recovery_rate=None, n_atoms=4, sparsity=1,
@@ -183,3 +186,19 @@ def test_aggregate_handles_unequal_lengths(tmp_path):
     i = header.index("distance_mean")
     assert rows[0][i] == pytest.approx(0.4)
     assert rows[1][i] == pytest.approx(0.4)
+
+
+def test_trajectory_columns_one_per_record_field(tmp_path):
+    assert len(TRAJECTORY_COLUMNS) == len(fields(IterationRecord))
+    rec = IterationRecord(iteration=3, distance=0.5, mean_atom_distance=0.25,
+                          recovery_rate=1.0, n_atoms=7, sparsity=2, s_bar=2,
+                          replaced=1, pruned=4, added=5, wallclock_ms=9.0,
+                          s_bar_raw=2.5, s_t=1.5, merges=3, pruned_unused=1)
+    row = dict(zip(TRAJECTORY_COLUMNS, record_row(rec)))
+    assert (row["iter"], row["K"], row["S_e"], row["S_bar"]) == (3, 7, 2, 2)
+    assert (row["merges"], row["pruned_unused"], row["added"]) == (3, 1, 5)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, Trajectory(records=[rec]))
+    assert path.read_text().splitlines()[0] == (
+        "iter,distance,mean_atom_distance,recovery_rate,K,S_e,S_bar,replaced,"
+        "pruned,added,wallclock_ms,S_bar_raw,S_t,merges,pruned_unused")

@@ -122,19 +122,25 @@ def test_patch_count_256():
 
 def test_patch_count_small():
     img = np.arange(9, dtype=float).reshape(3, 3) / 9
-    batch = extract_patches(img, PatchConfig(patch_side=2, remove_mean=False))
+    batch = extract_patches(img, PatchConfig(patch_side=2))
     assert batch.n == 4
-    # first patch is [[0,1],[3,4]]/9 vectorized column-major
-    assert np.allclose(batch.signals[:, 0] * 9, [0, 3, 1, 4])
+    # first patch is [[0,1],[3,4]]/9 vectorized column-major, mean 2/9 removed
+    assert np.allclose(batch.signals[:, 0] * 9, np.array([0, 3, 1, 4]) - 2)
 
 
 def test_patch_scan_order_row_major():
-    img = np.arange(16, dtype=float).reshape(4, 4)
-    batch = extract_patches(img, PatchConfig(patch_side=2, remove_mean=False))
+    # squared ramp, so the mean-removed patches differ from one another
+    img = np.arange(16, dtype=float).reshape(4, 4) ** 2
+
+    def centred(idx):
+        raw = np.array(idx, dtype=float) ** 2
+        return raw - raw.mean()
+
+    batch = extract_patches(img, PatchConfig(patch_side=2))
     # second patch starts one column to the right
-    assert np.allclose(batch.signals[:, 1], [1, 5, 2, 6])
+    assert np.allclose(batch.signals[:, 1], centred([1, 5, 2, 6]))
     # fourth patch wraps to the next row
-    assert np.allclose(batch.signals[:, 3], [4, 8, 5, 9])
+    assert np.allclose(batch.signals[:, 3], centred([4, 8, 5, 9]))
 
 
 def test_constant_image_mean_removed_is_zero():

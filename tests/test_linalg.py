@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from itkrm.linalg import (Dictionary, Support, asym_distance, coherence,
-                          cross_gram, dictionary_diagnostics,
-                          isometry_constant, mean_atom_distance,
-                          operator_norm_sq, project_onto_span, recovery_rate)
-from itkrm.signals import make_dirac_hadamard, perturbed_dictionary
+from itkrm.linalg import (Dictionary, Support, asym_distance, atom_distances,
+                          coherence, cross_gram, dictionary_diagnostics,
+                          mean_atom_distance, operator_norm_sq,
+                          project_onto_span, recovery_rate)
+from itkrm.signals import (make_dirac_hadamard, make_spurious_estimate,
+                           perturbed_dictionary)
 
 from conftest import random_dictionary
 
@@ -149,6 +150,16 @@ def test_mean_atom_distance_two_atom_hand_case():
     assert got == pytest.approx(0.1, abs=1e-12)
 
 
+def test_atom_distances_identical_and_spurious():
+    dico = make_dirac_hadamard(32, 48)
+    assert np.allclose(atom_distances(dico, dico), 0.0, atol=1e-7)
+    est = make_spurious_estimate(dico, [(0, 2, 1)])
+    errs = np.sort(atom_distances(dico, est))
+    # all but two atoms exact; the two missing ones at sqrt(2 - sqrt(2))
+    assert np.allclose(errs[:46], 0.0, atol=1e-7)
+    assert np.allclose(errs[46:], math.sqrt(2 - math.sqrt(2)), atol=1e-7)
+
+
 # --- recovery rate ---------------------------------------------------------
 
 def test_recovery_rate_exact(rng):
@@ -157,7 +168,6 @@ def test_recovery_rate_exact(rng):
 
 
 def test_recovery_rate_two_missing_of_48():
-    from itkrm.signals import make_spurious_estimate
     dico = make_dirac_hadamard(32, 48)
     est = make_spurious_estimate(dico, [(0, 2, 1)])
     assert recovery_rate(dico, est, 0.99) == pytest.approx(46 / 48)
@@ -229,7 +239,7 @@ def test_project_handles_duplicate_atoms(rng):
     assert np.allclose(proj, (atom @ y) * atom)
 
 
-# --- operator norm and isometry constants ----------------------------------
+# --- operator norm -----------------------------------------------------------
 
 def test_operator_norm_orthonormal_and_tight_frame():
     assert operator_norm_sq(Dictionary(np.eye(5))) == pytest.approx(1.0)
@@ -242,15 +252,6 @@ def test_operator_norm_matches_eigenvalue_oracle(rng):
     dico = random_dictionary(6, 9, rng)
     oracle = max(np.linalg.eigvalsh(dico.atoms @ dico.atoms.T))
     assert operator_norm_sq(dico) == pytest.approx(float(oracle), abs=1e-10)
-
-
-def test_isometry_constant_orthonormal_zero_and_duplicates_one(rng):
-    dico = Dictionary(np.eye(6))
-    assert isometry_constant(dico, Support(np.array([0, 2, 5]))) == pytest.approx(0.0)
-    atom = rng.standard_normal(4)
-    atom /= np.linalg.norm(atom)
-    dup = Dictionary(np.column_stack([atom, atom]))
-    assert isometry_constant(dup, Support(np.array([0, 1]))) == pytest.approx(1.0)
 
 
 # --- diagnostics report ----------------------------------------------------

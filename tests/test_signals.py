@@ -7,8 +7,7 @@ from itkrm.linalg import Dictionary, Support, coherence, project_onto_span, reco
 from itkrm.signals import (BalancedCoefficients, CoefficientMixture,
                            GeometricCoefficients, SignalModel,
                            TwoSparseCoefficients, draw_coefficients,
-                           empirical_signal_stats, generate_batch,
-                           hadamard_matrix, make_bad_initialization,
+                           generate_batch, hadamard_matrix, make_bad_initialization,
                            make_dirac_hadamard, make_random_sphere,
                            make_spurious_estimate, noise_std_for_snr,
                            rng_from_seed)
@@ -150,17 +149,17 @@ def test_normalization_uses_realized_noise(rng):
     assert np.all(norms <= math.sqrt(2) + 1e-9)
 
 
-# --- empirical statistics --------------------------------------------------
+# --- coefficient statistics of a batch ---------------------------------------
+# l1 norm (gamma_1), squared l2 norm (gamma_2) and dynamic range c(1)/c(S)
+# of every drawn coefficient sequence, read off the batch's ground truth.
 
 def test_stats_balanced_sparse(rng):
     dico = random_dictionary(10, 12, rng)
     model = SignalModel(dictionary=dico, coeffs=BalancedCoefficients(4), seed=1)
-    stats = empirical_signal_stats(generate_batch(model, 300))
-    assert stats.gamma1s == pytest.approx(2.0, abs=1e-12)   # sqrt(S)
-    assert stats.gamma2s == pytest.approx(1.0, abs=1e-12)
-    assert stats.dynamic_range == pytest.approx(1.0)
-    assert stats.gap == 0.0
-    assert stats.ncr == 0.0
+    coeffs = generate_batch(model, 300).truth.coeffs
+    assert np.allclose(coeffs.sum(axis=1), 2.0, rtol=0, atol=1e-12)   # sqrt(S)
+    assert np.allclose((coeffs ** 2).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(coeffs[:, 0] / coeffs[:, -1], 1.0)
 
 
 def test_stats_geometric_closed_form(rng):
@@ -168,19 +167,13 @@ def test_stats_geometric_closed_form(rng):
     dico = random_dictionary(12, 12, rng)
     model = SignalModel(dictionary=dico,
                         coeffs=GeometricCoefficients(q, q, s), seed=4)
-    stats = empirical_signal_stats(generate_batch(model, 50))
+    coeffs = generate_batch(model, 50).truth.coeffs
     z = math.sqrt(sum(q ** (2 * i) for i in range(s)))
     gamma1 = sum(q ** i for i in range(s)) / z
-    assert stats.gamma1s == pytest.approx(gamma1, abs=1e-10)
-    assert stats.gamma2s == pytest.approx(1.0, abs=1e-10)
-    assert stats.dynamic_range == pytest.approx(q ** -(s - 1), abs=1e-10)
-
-
-def test_stats_require_truth():
-    batch = generate_batch(_model(Dictionary(np.eye(4)), s=1), 10)
-    from itkrm.signals import SignalBatch
-    with pytest.raises(ValueError):
-        empirical_signal_stats(SignalBatch(signals=batch.signals, truth=None))
+    assert np.allclose(coeffs.sum(axis=1), gamma1, rtol=0, atol=1e-10)
+    assert np.allclose((coeffs ** 2).sum(axis=1), 1.0, rtol=0, atol=1e-10)
+    assert np.allclose(coeffs[:, 0] / coeffs[:, s - 1], q ** -(s - 1),
+                       rtol=0, atol=1e-10)
 
 
 # --- special dictionaries --------------------------------------------------
@@ -273,6 +266,16 @@ def test_bad_initialization_pair_distance(rng):
             ip = abs(est.atoms[:, slot] @ dico.atoms[:, j])
             assert math.sqrt(2 - 2 * ip) == pytest.approx(
                 math.sqrt(2 - 2 * alpha), abs=1e-9)
+
+
+def test_bad_initialization_duplicate_atoms_raise(rng):
+    # every signed sum of the other atom lies along atom 0, so each redraw is
+    # degenerate; the redraws stop with a ValueError
+    atom = rng.standard_normal(4)
+    atom /= np.linalg.norm(atom)
+    dico = Dictionary(np.column_stack([atom, atom]))
+    with pytest.raises(ValueError, match="draws"):
+        make_bad_initialization(dico, 0.9, 1, rng)
 
 
 def test_bad_initialization_rejects_too_many_pairs(rng):
