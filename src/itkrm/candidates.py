@@ -18,10 +18,6 @@ from .linalg import Dictionary, sign_pm
 # Accumulator columns smaller than this are considered never used and redrawn.
 ZERO_ACC_TOL = 1e-12
 
-# Pre-normalization atom norms below this floor freeze the atom for the
-# iteration, zero its value counter and mark it unused for replacement.
-DEAD_ATOM_FLOOR = 1e-3
-
 
 @dataclass
 class CandidateSet:
@@ -236,20 +232,17 @@ def replace_coherent(dico: Dictionary, scores: np.ndarray, cands: CandidateSet,
 
 
 def replace_unused(dico: Dictionary, scores: np.ndarray, cands: CandidateSet,
-                   policy: ReplacementPolicy, raw_norms: np.ndarray | None = None,
-                   event_log: list | None = None):
+                   policy: ReplacementPolicy, event_log: list | None = None):
     """Swap leftover candidates into atoms that were never reliably used.
 
-    An atom counts as unused when its score is zero or its pre-normalization
-    norm fell below DEAD_ATOM_FLOOR.  Candidates are consumed in score
-    order and must pass the mu_max coherence test against the rest of the
-    dictionary; unused atoms beyond the candidate supply stay unchanged.
+    An atom counts as unused when its score is zero.  Candidates are
+    consumed in score order and must pass the mu_max coherence test against
+    the rest of the dictionary; unused atoms beyond the candidate supply stay
+    unchanged.
 
     Returns (dictionary, replaced_count).
     """
     unused = np.asarray(scores) == 0
-    if raw_norms is not None:
-        unused |= np.asarray(raw_norms) < DEAD_ATOM_FLOOR
     if not unused.any() or cands.L == 0:
         return dico, 0
     atoms = dico.atoms.copy()

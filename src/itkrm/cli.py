@@ -1,6 +1,10 @@
 """Command line interface: learn / eval / probe.
 
-Flags mirror ExperimentSpec fields; values from a config file override the
+The learn and probe flags are generated from the ExperimentSpec fields: each
+field is set by ``--field-name``, and seven fields keep a short spelling
+(``_SHORT``).  Every value, whether from a flag, a config file or a stored
+manifest, is read by the field's declared type; ExperimentSpec.validate() is
+the only range and choice check.  Values from a config file override the
 defaults and flags override both.  Exit codes: 0 success, 2 invalid
 specification, 3 runtime failure.
 """
@@ -9,29 +13,51 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
 from . import container
 from .approx import approximation_power
-from .experiments import (DICT_KINDS, ExperimentSpec, SpecError,
-                          run_experiment, write_rows_csv)
+from .experiments import (SCENARIOS, ExperimentSpec, SpecError, run_experiment,
+                          write_rows_csv)
 from .images import PatchConfig, extract_patches, load_image_gray
 
-_LIST_FIELDS = {"gen_sparsity": int, "gen_weights": float, "compare": str,
-                "epsilons": float, "s_range": int}
-_SPEC_FIELDS = {f.name: f for f in fields(ExperimentSpec)}
+_FIELD_TYPES = typing.get_type_hints(ExperimentSpec)
+_SHORT = {"output_dir": "--output", "n_atoms": "--K", "dict_kind": "--dict",
+          "sparsity": "--S", "iterations": "--T", "signals": "--N",
+          "image_path": "--image"}
 
 
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
+def _read_scalar(kind, value):
+    if kind is not bool:
+        return kind(str(value))
+    if isinstance(value, bool):
+        return value
+    text = str(value).lower()
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
+def _cast_field(name: str, value):
+    """Read a flag, config-file or manifest value as the field's declared type.
+
+    Text lists are comma separated; a malformed value raises SpecError.
+    """
+    if name not in _FIELD_TYPES:
+        raise SpecError(f"{name}: unknown specification key")
+    kind = _FIELD_TYPES[name]
+    if typing.get_origin(kind) is typing.Union:        # Optional[X]
+        kind = typing.get_args(kind)[0]
+    try:
+        if typing.get_origin(kind) is tuple:
+            items = value if isinstance(value, (tuple, list)) else \
+                [v.strip() for v in str(value).split(",") if v.strip()]
+            return tuple(_read_scalar(typing.get_args(kind)[0], v) for v in items)
+        return _read_scalar(kind, value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{name}: cannot read {value!r}: {exc}") from exc
 
 
 def read_config_file(path) -> dict:
@@ -52,105 +78,29 @@ def read_config_file(path) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    if key not in _SPEC_FIELDS:
-        raise SpecError(f"{key}: unknown specification key")
-    if key in _LIST_FIELDS:
-        cast = _LIST_FIELDS[key]
-        if isinstance(value, (tuple, list)):
-            return tuple(cast(v) for v in value)
-        return tuple(cast(v.strip()) for v in str(value).split(",") if v.strip())
-    if isinstance(value, str):
-        value = _parse_scalar(value)
-    return value
-
-
 def parse_spec(cli_values: dict, config_file=None) -> ExperimentSpec:
     """Merge defaults, config-file values and CLI flags into a spec."""
-    merged: dict = {}
-    if config_file:
-        for key, value in read_config_file(config_file).items():
-            merged[key] = _coerce(key, value)
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = _coerce(key, value)
-    try:
-        spec = ExperimentSpec(**merged)
-    except TypeError as exc:
-        raise SpecError(str(exc)) from exc
+    merged = read_config_file(config_file) if config_file else {}
+    merged.update((k, v) for k, v in cli_values.items() if v is not None)
+    spec = ExperimentSpec(**{k: _cast_field(k, v) for k, v in merged.items()})
     spec.validate()
     return spec
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser, scenarios) -> None:
-    parser.add_argument("--scenario", choices=scenarios, help="experiment scenario")
-    parser.add_argument("--config", metavar="FILE", help="key = value config file")
-    parser.add_argument("--output-dir", "--output", dest="output_dir")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--scale", type=float,
-                        help="shrink d, K and N proportionally")
-    parser.add_argument("--d", type=int, dest="d", help="ambient dimension")
-    parser.add_argument("--K", "--n-atoms", type=int, dest="n_atoms",
-                        help="generating dictionary size")
-    parser.add_argument("--init-atoms", type=int, dest="init_atoms",
-                        help="initial dictionary size K_e")
-    parser.add_argument("--dict", dest="dict_kind", choices=DICT_KINDS)
-    parser.add_argument("--S", "--sparsity", type=int, dest="sparsity")
-    parser.add_argument("--gen-sparsity", dest="gen_sparsity",
-                        help="comma list of generating sparsity levels")
-    parser.add_argument("--gen-weights", dest="gen_weights",
-                        help="comma list of mixture weights")
-    parser.add_argument("--q-min", type=float, dest="q_min")
-    parser.add_argument("--q-max", type=float, dest="q_max")
-    parser.add_argument("--snr", type=float)
-    parser.add_argument("--outlier-rate", type=float, dest="outlier_rate")
-    parser.add_argument("--T", "--iterations", type=int, dest="iterations")
-    parser.add_argument("--N", "--signals", type=int, dest="signals")
-    parser.add_argument("--mu-max", type=float, dest="mu_max")
-    parser.add_argument("--combine", choices=("delete", "merge", "add"))
-    parser.add_argument("--compare", help="comma list of candidate,random,none")
-    parser.add_argument("--min-obs", dest="min_obs",
-                        help="d | dlogd | 2dlogd | integer")
-    parser.add_argument("--recovery-threshold", type=float,
-                        dest="recovery_threshold")
-    parser.add_argument("--epsilons", help="comma list of perturbation sizes")
-    parser.add_argument("--init-kind", dest="init_kind",
-                        choices=("random", "spurious"))
-    parser.add_argument("--spurious-triples", type=int, dest="spurious_triples")
-    parser.add_argument("--image", dest="image_path")
-    parser.add_argument("--patch-side", type=int, dest="patch_side")
-    parser.add_argument("--image-sigma", type=float, dest="image_sigma")
-    parser.add_argument("--s-range", dest="s_range",
-                        help="comma list of sparsity levels for evaluation")
-    parser.add_argument("--stop-at-full-recovery", action="store_const",
-                        const=True, dest="stop_at_full_recovery")
+def _spec_from_args(args) -> ExperimentSpec:
+    values = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
+    if values["scenario"] is None:
+        values["scenario"] = next(s for s, cmd in SCENARIOS.items()
+                                  if cmd == args.command)
+    spec = parse_spec(values, config_file=args.config)
+    if SCENARIOS[spec.scenario] != args.command:
+        raise SpecError(f"scenario: {spec.scenario!r} is not a "
+                        f"{args.command} scenario")
+    return spec
 
 
-def _spec_from_args(args, default_scenario=None) -> ExperimentSpec:
-    values = {k: v for k, v in vars(args).items()
-              if k in _SPEC_FIELDS and v is not None}
-    if "scenario" not in values and default_scenario:
-        values["scenario"] = default_scenario
-    return parse_spec(values, config_file=args.config)
-
-
-def _cmd_learn(args) -> int:
-    spec = _spec_from_args(args, default_scenario="replacement_compare")
-    if spec.scenario not in ("plain_recovery", "replacement_compare",
-                             "adaptive_synthetic", "adaptive_image"):
-        raise SpecError(f"scenario: {spec.scenario!r} is not a learning scenario")
-    out = run_experiment(spec)
-    print(out)
-    return 0
-
-
-def _cmd_probe(args) -> int:
-    spec = _spec_from_args(args, default_scenario="fixedpoint_probe")
-    if spec.scenario not in ("fixedpoint_probe", "contraction_sweep"):
-        raise SpecError(f"scenario: {spec.scenario!r} is not a probe scenario")
-    out = run_experiment(spec)
-    print(out)
+def _cmd_experiment(args) -> int:
+    print(run_experiment(_spec_from_args(args)))
     return 0
 
 
@@ -160,7 +110,7 @@ def _cmd_eval(args) -> int:
     patches = extract_patches(image, PatchConfig(patch_side=args.patch_side or 8))
     if patches.d != dico.d:
         raise SpecError("patch dimension does not match the dictionary")
-    s_range = tuple(int(v) for v in (args.s_range or "1,2,3,4,5,6,7,8").split(","))
+    s_range = _cast_field("s_range", args.s_range or "1,2,3,4,5,6,7,8")
     report = approximation_power(dico, patches, s_range,
                                  augment_flat=not args.no_flat,
                                  force_flat=args.force_flat)
@@ -181,14 +131,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "means with candidate replacement and adaptive sizing")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    learn = sub.add_parser("learn", help="run a learning experiment")
-    _add_spec_flags(learn, ("plain_recovery", "replacement_compare",
-                            "adaptive_synthetic", "adaptive_image"))
-    learn.set_defaults(func=_cmd_learn)
-
-    probe = sub.add_parser("probe", help="fixed-point and contraction probes")
-    _add_spec_flags(probe, ("fixedpoint_probe", "contraction_sweep"))
-    probe.set_defaults(func=_cmd_probe)
+    for command, about in (("learn", "run a learning experiment"),
+                           ("probe", "fixed-point and contraction probes")):
+        cmd = sub.add_parser(command, help=about)
+        cmd.add_argument("--config", metavar="FILE",
+                         help="key = value config file")
+        for f in fields(ExperimentSpec):
+            spellings = ["--" + f.name.replace("_", "-")]
+            spellings += [_SHORT[f.name]] if f.name in _SHORT else []
+            shown = ",".join(map(str, f.default)) \
+                if isinstance(f.default, tuple) else f.default
+            switch = {"action": "store_const", "const": True} \
+                if _FIELD_TYPES[f.name] is bool else {}
+            cmd.add_argument(*spellings, dest=f.name, help=f"default: {shown}",
+                             **switch)
+        cmd.set_defaults(func=_cmd_experiment)
 
     ev = sub.add_parser("eval", help="approximation power of a saved dictionary")
     ev.add_argument("--dictionary", "--dict", required=True)

@@ -24,9 +24,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .candidates import (DEAD_ATOM_FLOOR, CandidateSet, ReplacementPolicy,
-                         candidate_threshold, draw_candidates,
-                         normalize_subbatch, replace_coherent, replace_unused)
+from .candidates import (CandidateSet, ReplacementPolicy, candidate_threshold,
+                         draw_candidates, normalize_subbatch, replace_coherent,
+                         replace_unused)
 from .linalg import (Dictionary, Support, asym_distance, mean_atom_distance,
                      recovery_rate, sign_pm, solve_normal_equations)
 from .signals import SignalBatch, SignalModel, generate_batch, rng_from_seed
@@ -34,6 +34,10 @@ from .signals import SignalBatch, SignalModel, generate_batch, rng_from_seed
 # Residuals below this fraction of the signal norm count as zero for
 # candidate attribution.
 RESIDUAL_ZERO_REL = 1e-10
+
+# Pre-normalization atom norms below this floor freeze the atom for the
+# iteration and zero its value counter, which marks it unused for replacement.
+DEAD_ATOM_FLOOR = 1e-3
 
 VARIANTS = ("plain", "replacement", "adaptive")
 
@@ -453,7 +457,6 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
                                                        pool, policy,
                                                        event_log=events)
             dico, swapped = replace_unused(dico, v, pool, policy,
-                                           raw_norms=out.raw_norms,
                                            event_log=events)
             replaced += swapped
             traj.replacement_events += [(t,) + ev for ev in events]

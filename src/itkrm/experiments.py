@@ -31,8 +31,10 @@ from .signals import (CoefficientMixture, GeometricCoefficients, SignalModel,
                       make_spurious_estimate, noise_std_for_snr,
                       perturbed_dictionary, rng_from_seed)
 
-SCENARIOS = ("plain_recovery", "replacement_compare", "adaptive_synthetic",
-             "adaptive_image", "fixedpoint_probe", "contraction_sweep")
+# Scenario -> CLI subcommand; the first scenario of a subcommand is its default.
+SCENARIOS = {"replacement_compare": "learn", "plain_recovery": "learn",
+             "adaptive_synthetic": "learn", "adaptive_image": "learn",
+             "fixedpoint_probe": "probe", "contraction_sweep": "probe"}
 
 DICT_KINDS = ("random-sphere", "dirac-hadamard")
 

@@ -235,17 +235,6 @@ def test_replace_unused_swaps_dead_atom(rng):
     assert np.allclose(out.atoms[:, 1], base[:, 4])
 
 
-def test_replace_unused_respects_energy_floor(rng):
-    dico = Dictionary(np.eye(4))
-    cands = draw_candidates(4, 1, rng)
-    raw_norms = np.array([5.0, 5.0, 1e-4, 5.0])
-    out, count = replace_unused(dico, np.array([3, 3, 3, 3]), cands,
-                                ReplacementPolicy(0.99, "merge"),
-                                raw_norms=raw_norms)
-    assert count == 1
-    assert np.allclose(out.atoms[:, 2], cands.atoms[:, 0])
-
-
 def test_replace_unused_no_candidates_keeps_atom():
     dico = Dictionary(np.eye(3))
     cands = _cands(np.zeros((3, 0)))

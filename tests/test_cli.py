@@ -1,12 +1,15 @@
 import json
+import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from itkrm import container
-from itkrm.cli import main, parse_spec, read_config_file
-from itkrm.experiments import SpecError
+from itkrm.cli import (_spec_from_args, build_parser, main, parse_spec,
+                       read_config_file)
+from itkrm.experiments import ExperimentSpec, SpecError
 from itkrm.images import save_image_pgm
 from itkrm.linalg import Dictionary
 
@@ -108,3 +111,128 @@ def test_cli_probe_contraction(tmp_path, capsys):
     out_dir = Path(capsys.readouterr().out.strip())
     rows = (out_dir / "results.csv").read_text().splitlines()
     assert len(rows) == 2
+
+
+# --- generated flags ----------------------------------------------------------
+
+# Every spelling the hand-written parser accepted, with the value it parsed to.
+FLAG_SPELLINGS = [
+    ("--scenario", "plain_recovery", "scenario", "plain_recovery"),
+    ("--output-dir", "runs/a", "output_dir", "runs/a"),
+    ("--output", "runs/b", "output_dir", "runs/b"),
+    ("--trials", "3", "trials", 3),
+    ("--seed", "7", "seed", 7),
+    ("--scale", "0.5", "scale", 0.5),
+    ("--d", "32", "d", 32),
+    ("--n-atoms", "48", "n_atoms", 48),
+    ("--K", "40", "n_atoms", 40),
+    ("--init-atoms", "64", "init_atoms", 64),
+    ("--dict", "dirac-hadamard", "dict_kind", "dirac-hadamard"),
+    ("--sparsity", "3", "sparsity", 3),
+    ("--S", "2", "sparsity", 2),
+    ("--gen-sparsity", "4", "gen_sparsity", (4,)),
+    ("--gen-weights", "2", "gen_weights", (2.0,)),
+    ("--q-min", "0.8", "q_min", 0.8),
+    ("--q-max", "0.95", "q_max", 0.95),
+    ("--snr", "8", "snr", 8.0),
+    ("--outlier-rate", "0", "outlier_rate", 0.0),
+    ("--iterations", "30", "iterations", 30),
+    ("--T", "25", "iterations", 25),
+    ("--signals", "5000", "signals", 5000),
+    ("--N", "6912", "signals", 6912),
+    ("--mu-max", "0.6", "mu_max", 0.6),
+    ("--combine", "add", "combine", "add"),
+    ("--compare", "candidate,none", "compare", ("candidate", "none")),
+    ("--min-obs", "2dlogd", "min_obs", "2dlogd"),
+    ("--recovery-threshold", "0.9", "recovery_threshold", 0.9),
+    ("--epsilons", "0.1,0.3", "epsilons", (0.1, 0.3)),
+    ("--init-kind", "spurious", "init_kind", "spurious"),
+    ("--spurious-triples", "2", "spurious_triples", 2),
+    ("--image", "mandrill.pgm", "image_path", "mandrill.pgm"),
+    ("--patch-side", "6", "patch_side", 6),
+    ("--image-sigma", "20", "image_sigma", 20.0),
+    ("--s-range", "1,2,4,8", "s_range", (1, 2, 4, 8)),
+    ("--stop-at-full-recovery", None, "stop_at_full_recovery", True),
+]
+
+
+@pytest.mark.parametrize("flag,text,name,expected", FLAG_SPELLINGS)
+def test_flag_spellings_parse_to_same_values(flag, text, name, expected):
+    argv = ["learn", flag] + ([] if text is None else [text])
+    spec = _spec_from_args(build_parser().parse_args(argv))
+    assert repr(getattr(spec, name)) == repr(expected)
+
+
+def test_config_flag_reads_file(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("d = 24\n")
+    spec = _spec_from_args(build_parser().parse_args(["probe", "--config",
+                                                      str(cfg)]))
+    assert (spec.d, spec.scenario) == (24, "fixedpoint_probe")
+
+
+@pytest.mark.parametrize("command", ["learn", "probe"])
+def test_every_spec_field_has_a_flag(command):
+    parser = build_parser()
+    for f in fields(ExperimentSpec):
+        flag = "--" + f.name.replace("_", "-")
+        value = [] if isinstance(f.default, bool) else ["1"]
+        args = parser.parse_args([command, flag, *value])
+        assert getattr(args, f.name) is not None, flag
+
+
+# --- values are read by declared field type -----------------------------------
+
+def test_config_int_for_float_field_writes_same_manifest_as_flag(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("snr = 8\n")
+    out = str(tmp_path / "out")
+    assert main(["learn", "--config", str(cfg), "--trials", "0",
+                 "--output", out]) == 0
+    from_config = (tmp_path / "out" / "manifest.json").read_bytes()
+    assert main(["learn", "--snr", "8", "--trials", "0", "--output", out]) == 0
+    assert (tmp_path / "out" / "manifest.json").read_bytes() == from_config
+    assert json.loads(from_config)["spec"]["snr"] == 8.0
+
+
+def test_config_float_for_int_field_is_spec_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("trials = 2.5\n")
+    code = main(["learn", "--config", str(cfg), "--output", str(tmp_path)])
+    assert code == 2
+    assert "trials" in capsys.readouterr().err
+
+
+def test_malformed_flag_value_is_spec_error(tmp_path, capsys):
+    code = main(["learn", "--gen-sparsity", "4,x", "--trials", "0",
+                 "--output", str(tmp_path)])
+    assert code == 2
+    assert "gen_sparsity" in capsys.readouterr().err
+
+
+def test_config_numeric_text_field_stays_text(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("image_path = 2024\nmin_obs = 40\n")
+    spec = parse_spec({}, config_file=cfg)
+    assert spec.image_path == "2024"
+    assert spec.min_obs == "40"
+
+
+# --- README examples ------------------------------------------------------------
+
+def _readme_cli_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.strip() for line in block.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("itkrm ")]
+
+
+@pytest.mark.parametrize("command", [
+    cmd if cmd.split()[1] in ("learn", "probe") else pytest.param(
+        cmd, marks=pytest.mark.skip(reason="eval needs a learned dictionary"))
+    for cmd in _readme_cli_commands()])
+def test_readme_cli_example_writes_manifest(command, tmp_path, capsys):
+    argv = shlex.split(command)[1:] + ["--trials", "0", "--output",
+                                       str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert (tmp_path / "run" / "manifest.json").exists()

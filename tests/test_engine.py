@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from itkrm.candidates import candidate_signal_update, draw_candidates
-from itkrm.engine import (EngineConfig, FreshBatches, oracle_residual,
-                          round_half_up, run_iteration, run_learning,
-                          signal_update, threshold_support, top_s_indices)
+from itkrm.candidates import (ReplacementPolicy, candidate_signal_update,
+                              draw_candidates)
+from itkrm.engine import (EngineConfig, FixedCorpus, FreshBatches,
+                          oracle_residual, round_half_up, run_iteration,
+                          run_learning, signal_update, threshold_support,
+                          top_s_indices)
 from itkrm.linalg import Dictionary, Support, asym_distance
 from itkrm.signals import (BalancedCoefficients, GeometricCoefficients,
-                           SignalModel, TwoSparseCoefficients, generate_batch,
-                           make_dirac_hadamard, noise_std_for_snr,
-                           rng_from_seed)
+                           SignalBatch, SignalModel, TwoSparseCoefficients,
+                           generate_batch, make_dirac_hadamard,
+                           noise_std_for_snr, rng_from_seed)
 
 from conftest import random_dictionary
 
@@ -323,6 +325,27 @@ def test_run_learning_zero_iterations_identity(rng):
     traj = run_learning(dico, FreshBatches(model, 50), EngineConfig(sparsity=2), 0)
     assert traj.dictionary is dico
     assert traj.records == []
+
+
+def test_run_learning_keeps_candidate_installed_in_dead_slot():
+    # Atom 5 = normalize(e0 + 0.5 e5) is coherent with e0 and never selected,
+    # so it dies.  replace_coherent merges it into slot 0 and installs a
+    # candidate along e5 that carries its score; replace_unused must not swap
+    # that candidate out again on the strength of the dead atom's norm.
+    eye = np.eye(6)
+    tail = eye[:, 0] + 0.5 * eye[:, 5]
+    dico = Dictionary(np.column_stack([eye[:, :5], tail / np.linalg.norm(tail)]))
+    rng = np.random.default_rng(0)
+    n = 600
+    idx = rng.integers(0, 5, n)
+    y = eye[:, idx] * rng.choice([-1.0, 1.0], n)
+    y[5] = np.where(idx != 0, 0.6 * rng.choice([-1.0, 1.0], n), 0.0)
+    y /= np.linalg.norm(y, axis=0)
+    traj = run_learning(dico, FixedCorpus(SignalBatch(y)),
+                        EngineConfig(sparsity=1, variant="replacement"), 1,
+                        policy=ReplacementPolicy(0.7, "merge"), seed=3)
+    assert traj.replacement_events == [(1, "coherent", 0, 5, 118, 0)]
+    assert traj.records[0].replaced == 1
 
 
 def test_run_learning_fixed_seed_reproducible(rng):
