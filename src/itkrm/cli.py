@@ -5,8 +5,8 @@ field is set by ``--field-name``, and seven fields keep a short spelling
 (``_SHORT``).  Every value, whether from a flag, a config file or a stored
 manifest, is read by the field's declared type; ExperimentSpec.validate() is
 the only range and choice check.  Values from a config file override the
-defaults and flags override both.  Exit codes: 0 success, 2 invalid
-specification, 3 runtime failure.
+defaults (the subcommand's default scenario included) and flags override
+both.  Exit codes: 0 success, 2 invalid specification, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -88,11 +88,12 @@ def parse_spec(cli_values: dict, config_file=None) -> ExperimentSpec:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    values = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
-    if values["scenario"] is None:
-        values["scenario"] = next(s for s, cmd in SCENARIOS.items()
-                                  if cmd == args.command)
-    spec = parse_spec(values, config_file=args.config)
+    values = read_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items()
+                  if k in _FIELD_TYPES and v is not None)
+    values.setdefault("scenario", next(s for s, cmd in SCENARIOS.items()
+                                       if cmd == args.command))
+    spec = parse_spec(values)
     if SCENARIOS[spec.scenario] != args.command:
         raise SpecError(f"scenario: {spec.scenario!r} is not a "
                         f"{args.command} scenario")

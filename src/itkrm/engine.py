@@ -12,7 +12,9 @@ sparsity update.
 
 The batched implementation walks the signals in sub-batch chunks whose walls
 coincide with the candidate renormalization boundaries, and combines the
-per-chunk partial sums with a pairwise tree.
+per-chunk partial sums with a pairwise tree.  Thresholding picks the S
+largest absolute inner products of each signal by S rounds of first-maximum
+argmax with the winner masked, so ties go to the lowest atom index.
 """
 
 from __future__ import annotations
@@ -100,23 +102,23 @@ class IterationOutput:
 def top_s_indices(abs_ip: np.ndarray, s: int) -> np.ndarray:
     """Indices of the s largest entries per column, ties to the lowest index.
 
-    Input is (K, N); output is (s, N) with each column sorted ascending.
+    Input is (K, N) and nonnegative (absolute inner products); output is
+    (s, N) with each column sorted ascending.  Each of s rounds takes the
+    row-wise argmax of a contiguous (N, K) copy and masks the winner with
+    -inf; argmax returns the first maximum, so ties go to the lowest index.
     """
     k, n = abs_ip.shape
     if s > k:
         raise ValueError("sparsity exceeds the number of atoms")
     if s == k:
         return np.tile(np.arange(k, dtype=np.int64)[:, None], (1, n))
-    part = np.argpartition(-abs_ip, s - 1, axis=0)[:s]
-    vals = np.take_along_axis(abs_ip, part, axis=0)
-    boundary = vals.min(axis=0)
-    total_eq = np.count_nonzero(abs_ip == boundary[None, :], axis=0)
-    block_eq = np.count_nonzero(vals == boundary[None, :], axis=0)
-    ambiguous = np.nonzero(total_eq != block_eq)[0]
-    if ambiguous.size:
-        fix = np.argsort(-abs_ip[:, ambiguous], axis=0, kind="stable")[:s]
-        part[:, ambiguous] = fix
-    return np.sort(part.astype(np.int64), axis=0)
+    vals = abs_ip.T.copy()
+    rows = np.arange(n)
+    picked = np.empty((s, n), dtype=np.int64)
+    for r in range(s):
+        picked[r] = np.argmax(vals, axis=1)
+        vals[rows, picked[r]] = -np.inf
+    return np.sort(picked, axis=0)
 
 
 def threshold_support(dico: Dictionary, y: np.ndarray, s: int) -> Support:

@@ -21,6 +21,9 @@ from .linalg import Dictionary
 # Sign draws tried by _balanced_perturbation before it gives up.
 PERTURBATION_DRAWS = 100
 
+# Signals per chunk of uniform position keys drawn by generate_batch.
+KEY_ROWS = 1024
+
 
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator keyed by a 64-bit seed plus stream indices."""
@@ -221,7 +224,10 @@ def generate_batch(model: SignalModel, n: int,
 
     The draw order is fixed (coefficients, support positions, signs, noise,
     outlier mask, outlier values) so a given generator state always yields
-    the same batch.
+    the same batch.  The support positions of a signal are the S_max
+    smallest of K uniform keys, taken in increasing key order; the keys are
+    drawn and searched KEY_ROWS signals at a time, which consumes the
+    generator exactly as one (n, K) draw would.
     """
     if n < 1:
         raise ValueError("need at least one signal")
@@ -234,11 +240,20 @@ def generate_batch(model: SignalModel, n: int,
         raise ValueError("model sparsity exceeds min(d, K)")
 
     c_rows, sparsities = _draw_coefficient_rows(model.coeffs, k, n, rng)
-    # positions: first s_max columns of a uniform permutation per signal
-    positions = np.argsort(rng.random((n, k)), axis=1)[:, :s_max].astype(np.int32)
+    # only the first s_max columns are nonzero; the (n, K) rows, like x
+    # below, are freed early to bound the peak memory of a large batch
+    coeff_block = c_rows[:, :s_max].copy()
+    del c_rows
+    positions = np.empty((n, s_max), dtype=np.int32)
+    for lo in range(0, n, KEY_ROWS):
+        block = positions[lo:lo + KEY_ROWS]
+        keys = rng.random((len(block), k))
+        rows = np.arange(len(block))
+        for r in range(s_max):
+            block[:, r] = np.argmin(keys, axis=1)
+            keys[rows, block[:, r]] = np.inf
     signs = np.where(rng.random((n, s_max)) < 0.5, -1, 1).astype(np.int8)
 
-    coeff_block = c_rows[:, :s_max]
     rank = np.arange(s_max)[None, :]
     active = rank < sparsities[:, None]
 
@@ -247,21 +262,21 @@ def generate_batch(model: SignalModel, n: int,
         x, positions.astype(np.int64),
         np.where(active, coeff_block * signs, 0.0), axis=1,
     )
-    clean = dico.atoms @ x.T
+    y = dico.atoms @ x.T
+    del x
 
     if model.noise_std_per_component > 0:
-        noise = model.noise_std_per_component * rng.standard_normal((d, n))
-        scale = np.sqrt(1.0 + np.sum(noise * noise, axis=0))
-        y = (clean + noise) / scale
-    else:
-        y = clean
+        noise = rng.standard_normal((d, n))
+        noise *= model.noise_std_per_component
+        scale = np.sqrt(1.0 + np.einsum("ij,ij->j", noise, noise))
+        y += noise
+        y /= scale
 
     is_outlier = np.zeros(n, dtype=bool)
     if model.outlier_rate > 0:
         is_outlier = rng.random(n) < model.outlier_rate
         n_out = int(is_outlier.sum())
         if n_out:
-            y = np.array(y)
             y[:, is_outlier] = model.outlier_std_per_component * rng.standard_normal((d, n_out))
 
     support = np.where(active, positions, -1).astype(np.int32)

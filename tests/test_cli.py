@@ -171,6 +171,25 @@ def test_config_flag_reads_file(tmp_path):
     assert (spec.d, spec.scenario) == (24, "fixedpoint_probe")
 
 
+def test_config_scenario_wins_over_subcommand_default(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scenario = plain_recovery\n")
+    out = tmp_path / "out"
+    assert main(["learn", "--config", str(cfg), "--trials", "0",
+                 "--output", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["spec"]["scenario"] == "plain_recovery"
+
+
+def test_config_scenario_of_other_subcommand_is_spec_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("scenario = fixedpoint_probe\n")
+    code = main(["learn", "--config", str(cfg), "--trials", "0",
+                 "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "scenario" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["learn", "probe"])
 def test_every_spec_field_has_a_flag(command):
     parser = build_parser()

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from itkrm.candidates import (ReplacementPolicy, candidate_signal_update,
                               draw_candidates)
@@ -80,6 +83,39 @@ def test_top_s_indices_full_selection():
     vals = np.abs(np.random.default_rng(0).standard_normal((4, 6)))
     idx = top_s_indices(vals, 4)
     assert np.array_equal(idx, np.tile(np.arange(4)[:, None], (1, 6)))
+
+
+def _top_s_oracle(a, s):
+    return np.sort(np.argsort(-a, axis=0, kind="stable")[:s], axis=0)
+
+
+@st.composite
+def _tied_columns(draw):
+    """Nonnegative (K, N) arrays from a small value set, some columns zero."""
+    k = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 6))
+    a = draw(arrays(np.float64, (k, n),
+                    elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])))
+    zero = draw(arrays(np.bool_, (n,)))
+    a[:, zero] = 0.0
+    s = draw(st.sampled_from(sorted({1, max(1, k - 1), k,
+                                     draw(st.integers(1, k))})))
+    return a, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_columns())
+@example((np.zeros((5, 1)), 1))
+@example((np.zeros((5, 3)), 4))
+@example((np.array([[1.0], [2.0], [2.0], [0.0]]), 3))
+@example((np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), 3))
+def test_top_s_indices_matches_stable_sort_oracle(case):
+    a, s = case
+    before = a.copy()
+    got = top_s_indices(a, s)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _top_s_oracle(a, s))
+    assert np.array_equal(a, before)       # the input is not modified
 
 
 # --- per-signal update -----------------------------------------------------

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from itkrm.linalg import Dictionary, Support, coherence, project_onto_span, recovery_rate
-from itkrm.signals import (BalancedCoefficients, CoefficientMixture,
+from itkrm.signals import (KEY_ROWS, BalancedCoefficients, CoefficientMixture,
                            GeometricCoefficients, SignalModel,
-                           TwoSparseCoefficients, draw_coefficients,
+                           TwoSparseCoefficients, _draw_coefficient_rows,
+                           _model_sparsity, draw_coefficients,
                            generate_batch, hadamard_matrix, make_bad_initialization,
                            make_dirac_hadamard, make_random_sphere,
                            make_spurious_estimate, noise_std_for_snr,
@@ -147,6 +148,81 @@ def test_normalization_uses_realized_noise(rng):
     # every non-outlier signal norm is <= (1 + ||r||)/sqrt(1+||r||^2) <= sqrt(2)
     norms = np.linalg.norm(batch.signals, axis=0)
     assert np.all(norms <= math.sqrt(2) + 1e-9)
+
+
+def reference_generate_batch(model, n, rng):
+    """Dense reference draw: argsort of all K keys per signal, K x N temporaries.
+
+    Same rng calls in the same order as generate_batch; the oracle for its
+    chunked position search and in-place noise.
+    """
+    dico = model.dictionary
+    d, k = dico.d, dico.K
+    s_max = _model_sparsity(model.coeffs)
+    c_rows, sparsities = _draw_coefficient_rows(model.coeffs, k, n, rng)
+    positions = np.argsort(rng.random((n, k)), axis=1)[:, :s_max].astype(np.int32)
+    signs = np.where(rng.random((n, s_max)) < 0.5, -1, 1).astype(np.int8)
+    coeff_block = c_rows[:, :s_max]
+    active = np.arange(s_max)[None, :] < sparsities[:, None]
+    x = np.zeros((n, k), dtype=np.float64)
+    np.put_along_axis(x, positions.astype(np.int64),
+                      np.where(active, coeff_block * signs, 0.0), axis=1)
+    clean = dico.atoms @ x.T
+    if model.noise_std_per_component > 0:
+        noise = model.noise_std_per_component * rng.standard_normal((d, n))
+        scale = np.sqrt(1.0 + np.sum(noise * noise, axis=0))
+        y = (clean + noise) / scale
+    else:
+        y = clean
+    is_outlier = np.zeros(n, dtype=bool)
+    if model.outlier_rate > 0:
+        is_outlier = rng.random(n) < model.outlier_rate
+        n_out = int(is_outlier.sum())
+        if n_out:
+            y = np.array(y)
+            y[:, is_outlier] = model.outlier_std_per_component * rng.standard_normal((d, n_out))
+    support = np.where(active, positions, -1).astype(np.int32)
+    out_signs = np.where(active, signs, 0).astype(np.int8)
+    out_coeffs = np.where(active, coeff_block, 0.0)
+    sparsity = sparsities.astype(np.int32)
+    support[is_outlier] = -1
+    out_signs[is_outlier] = 0
+    out_coeffs[is_outlier] = 0.0
+    sparsity[is_outlier] = 0
+    return {"signals": np.ascontiguousarray(y), "support": support,
+            "signs": out_signs, "coeffs": out_coeffs, "sparsity": sparsity,
+            "is_outlier": is_outlier}
+
+
+ORACLE_COEFFS = {
+    "geometric": GeometricCoefficients(0.8, 1.0, 5),
+    "two_sparse": TwoSparseCoefficients(),
+    "balanced": BalancedCoefficients(3),
+    "mixture": CoefficientMixture(((0.25, GeometricCoefficients(0.9, 1.0, 4)),
+                                   (0.5, BalancedCoefficients(6)),
+                                   (0.25, TwoSparseCoefficients()))),
+}
+
+
+@pytest.mark.parametrize("n", [1, KEY_ROWS - 1, KEY_ROWS, 2 * KEY_ROWS + 5])
+@pytest.mark.parametrize("noise,outliers", [(0.0, 0.0), (0.1, 0.0),
+                                            (0.0, 0.2), (0.1, 0.2)])
+@pytest.mark.parametrize("coeffs", sorted(ORACLE_COEFFS))
+def test_generate_batch_bytes_match_dense_reference(coeffs, noise, outliers, n):
+    dico = random_dictionary(12, 20, np.random.default_rng(3))
+    model = SignalModel(dictionary=dico, coeffs=ORACLE_COEFFS[coeffs],
+                        noise_std_per_component=noise, outlier_rate=outliers,
+                        outlier_std_per_component=0.3, seed=21)
+    batch = generate_batch(model, n, rng=rng_from_seed(21, n))
+    want = reference_generate_batch(model, n, rng_from_seed(21, n))
+    got = {"signals": batch.signals, "support": batch.truth.support,
+           "signs": batch.truth.signs, "coeffs": batch.truth.coeffs,
+           "sparsity": batch.truth.sparsity,
+           "is_outlier": batch.truth.is_outlier}
+    for name, ref in want.items():
+        assert got[name].dtype == ref.dtype, name
+        assert got[name].shape == ref.shape, name
+        assert got[name].tobytes() == ref.tobytes(), name
 
 
 # --- coefficient statistics of a batch ---------------------------------------
