@@ -1,4 +1,8 @@
-"""Orthogonal Matching Pursuit and approximation-quality evaluation."""
+"""Orthogonal Matching Pursuit and approximation-quality evaluation.
+
+`omp` is the single-signal reference; `approximation_power` runs Batch-OMP
+with a progressive Cholesky factor over a whole batch of signals.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Dictionary, Support, solve_normal_equations
+from .linalg import EIG_TRUNCATION, Dictionary, Support, solve_normal_equations
 from .signals import SignalBatch
 
 OMP_RESIDUAL_TOL = 1e-12
@@ -61,38 +65,73 @@ def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
                         preselect: Optional[int] = None) -> np.ndarray:
     """Squared residual norms after 1..s_max greedy picks, per signal.
 
+    Batch-OMP (R. Rubinstein, M. Zibulevsky, M. Elad, Technion CS-2008-08):
+    the residual itself is never formed.  Each signal keeps a lower-triangular
+    Cholesky factor L of its support's sub-Gram, grown by one row per pick
+    (forward substitution against the new Gram column), and z = L^-1 Phi_I^T y,
+    grown by one entry; the squared residual then falls by z_j^2 per pick.
+    The next pick maximizes |Phi^T y - G gamma| over the atoms not yet taken
+    (ties to the lowest index), with gamma = L^-T z: one (N, K) x (K, K)
+    product per pick.  The factor, z and gamma keep the signals on the last,
+    contiguous axis, so every substitution step is one vector op over N.
+
+    A pick whose pivot G_kk - |w|^2 is not above EIG_TRUNCATION lies in the
+    span of the atoms already taken (a duplicate atom, or any pick once the
+    support spans R^d): its reciprocal pivot is set to 0, so it
+    adds nothing to the span, to z or to gamma, as in a minimum-norm solve.
+
     ``preselect`` forces one atom into every support before the greedy picks
     (used for the always-included flat atom); its projection is not counted
     as one of the s_max picks.
     """
-    d, n = y.shape
-    k = atoms.shape[1]
+    n = y.shape[1]
     gram = atoms.T @ atoms
-    ip0 = atoms.T @ y
-    cols = np.arange(n)
-    residual = y.copy()
-    selected = np.zeros((n, 0), dtype=np.int64)
-    taken = np.zeros((k, n), dtype=bool)
-    out = np.empty((s_max, n))
+    diag = np.diag(gram)
+    alpha0 = y.T @ atoms                        # (N, K): Phi^T y per signal
     steps = ([preselect] if preselect is not None else []) + [None] * s_max
+    m = len(steps)
+    cols = np.arange(n)
+    sel = np.zeros((m, n), dtype=np.int64)      # pick j of each signal
+    chol = np.zeros((m, m, n))                  # chol[j, :j]: row j of L
+    rdiag = np.zeros((m, n))                    # 1 / L[j, j], 0 when degenerate
+    z = np.zeros((m, n))
+    gamma = np.zeros((m, n))
+    scatter = np.zeros((n, atoms.shape[1]))     # gamma on the support, 0 elsewhere
+    alpha = np.empty_like(scatter)
+    err = np.einsum("ij,ij->j", y, y)
+    out = np.empty((s_max, n))
     row = 0
-    for forced in steps:
+    for j, forced in enumerate(steps):
         if forced is not None:
             winners = np.full(n, forced, dtype=np.int64)
         else:
-            ip = np.abs(atoms.T @ residual)
-            ip[taken] = -1.0
-            winners = np.argmax(ip, axis=0)
-        taken[winners, cols] = True
-        selected = np.column_stack([selected, winners])
-        sub_gram = gram[selected[:, :, None], selected[:, None, :]]
-        rhs = np.take_along_axis(ip0, selected.T, axis=0).T
-        coeffs = solve_normal_equations(sub_gram, rhs)
-        scatter = np.zeros((k, n))
-        scatter[selected.T, cols[None, :]] = coeffs.T
-        residual = y - atoms @ scatter
+            if j:
+                for i in range(j - 1, -1, -1):      # back substitution L^T gamma = z
+                    gamma[i] = z[i] - np.einsum("ij,ij->j", chol[i + 1:j, i],
+                                                gamma[i + 1:j])
+                    gamma[i] *= rdiag[i]
+                scatter[cols, sel[:j]] = gamma[:j]
+                np.matmul(scatter, gram, out=alpha)
+                np.subtract(alpha0, alpha, out=alpha)
+                np.abs(alpha, out=alpha)
+                alpha[cols, sel[:j]] = -1.0
+            else:
+                np.abs(alpha0, out=alpha)
+            winners = np.argmax(alpha, axis=1)
+        sel[j] = winners
+        w = chol[j, :j]                             # forward substitution L w = G[I, k]
+        w[...] = gram[sel[:j], winners]
+        for i in range(j):
+            w[i] -= np.einsum("ij,ij->j", chol[i, :i], w[:i])
+            w[i] *= rdiag[i]
+        pivot = diag[winners] - np.einsum("ij,ij->j", w, w)
+        live = pivot > EIG_TRUNCATION
+        rdiag[j] = np.where(live, 1.0 / np.sqrt(np.where(live, pivot, 1.0)), 0.0)
+        z[j] = (alpha0[cols, winners] - np.einsum("ij,ij->j", w, z[:j])) * rdiag[j]
+        err -= z[j] ** 2
+        np.maximum(err, 0.0, out=err)
         if forced is None:
-            out[row] = np.einsum("ij,ij->j", residual, residual)
+            out[row] = err
             row += 1
     return out
 
@@ -106,11 +145,15 @@ def approximation_power(dico: Dictionary, batch: SignalBatch,
     available to OMP like any other atom; ``force_flat`` additionally places
     it in every support before the s greedy picks.  Errors are measured as
     sum of squared residuals over the squared Frobenius norm of the batch.
+    A signal with a NaN or infinite entry raises ValueError.
     """
+    y = batch.signals
+    if not np.isfinite(y).all():
+        bad = int(np.argmin(np.isfinite(y).all(axis=0)))
+        raise ValueError(f"signal column {bad} has a non-finite entry")
     levels = np.array(sorted(set(int(s) for s in s_range)), dtype=np.int64)
     if levels.size == 0 or levels[0] < 1:
         raise ValueError("sparsity levels must be positive")
-    y = batch.signals
     if y.shape[1] == 0:
         zeros = np.zeros(levels.size)
         return ApproxReport(levels, zeros, 0)

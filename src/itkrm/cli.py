@@ -78,11 +78,10 @@ def read_config_file(path) -> dict:
     return values
 
 
-def parse_spec(cli_values: dict, config_file=None) -> ExperimentSpec:
-    """Merge defaults, config-file values and CLI flags into a spec."""
-    merged = read_config_file(config_file) if config_file else {}
-    merged.update((k, v) for k, v in cli_values.items() if v is not None)
-    spec = ExperimentSpec(**{k: _cast_field(k, v) for k, v in merged.items()})
+def parse_spec(values: dict) -> ExperimentSpec:
+    """Read each given value by its field type over the defaults; validate."""
+    spec = ExperimentSpec(**{k: _cast_field(k, v) for k, v in values.items()
+                             if v is not None})
     spec.validate()
     return spec
 

@@ -30,6 +30,8 @@ from itkrm.signals import (BalancedCoefficients, CoefficientMixture,
 
 from test_images import textured_image
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")

@@ -40,7 +40,8 @@ def test_parse_spec_rejects_unknown_key():
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[model]\nd = 24\nn_atoms = 30\n# comment\nsnr = 8\n")
-    spec = parse_spec({"d": 16}, config_file=cfg)
+    spec = _spec_from_args(build_parser().parse_args(
+        ["learn", "--config", str(cfg), "--d", "16"]))
     assert spec.d == 16          # flag wins
     assert spec.n_atoms == 30    # config wins over default
     assert spec.snr == 8.0
@@ -57,7 +58,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("notakey = 5\n")
     with pytest.raises(SpecError, match="notakey"):
-        parse_spec({}, config_file=cfg)
+        _spec_from_args(build_parser().parse_args(["learn", "--config", str(cfg)]))
 
 
 def test_cli_learn_runs_tiny_experiment(tmp_path, capsys):
@@ -232,7 +233,7 @@ def test_malformed_flag_value_is_spec_error(tmp_path, capsys):
 def test_config_numeric_text_field_stays_text(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("image_path = 2024\nmin_obs = 40\n")
-    spec = parse_spec({}, config_file=cfg)
+    spec = _spec_from_args(build_parser().parse_args(["learn", "--config", str(cfg)]))
     assert spec.image_path == "2024"
     assert spec.min_obs == "40"
 
