@@ -22,7 +22,7 @@ from .linalg import (DiagnosticsReport, Dictionary, Support, asym_distance,
                      recovery_rate)
 from .signals import (BalancedCoefficients, CoefficientMixture,
                       GeometricCoefficients, SignalBatch, SignalModel,
-                      TwoSparseCoefficients, draw_coefficients, generate_batch,
+                      TwoSparseCoefficients, generate_batch,
                       make_bad_initialization, make_dirac_hadamard,
                       make_random_sphere, make_spurious_estimate,
                       noise_std_for_snr, perturbed_dictionary, rng_from_seed)

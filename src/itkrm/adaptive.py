@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, replace as dc_replace
 from typing import Optional
 
@@ -254,43 +255,45 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     history = ScoreHistory.empty(dico.K, m)
     level = 1
     traj = Trajectory()
-    for t in range(1, iterations + 1):
-        t0 = time.perf_counter()
-        batch = signal_source.batch(t)
-        engine_cfg = EngineConfig(
-            sparsity=min(level, d, dico.K),
-            variant="adaptive",
-            candidate_count=cfg.candidate_count,
-            candidate_subbatches=m,
-            min_observations=cfg.min_observations,
-        )
-        cands = draw_candidates(d, cfg.candidate_count, rng)
-        out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng)
-        dico = out.new_dictionary
-        history.push(out.atom_scores)
-        dico, history, merges = prune_coherent(dico, history, cfg.mu_max)
-        pruned = 0
-        if t >= cfg.start_prune:
-            dico, history, pruned = prune_unused(
-                dico, history, cfg.min_observations, cfg.max_pruned,
-                iteration=t, ambient_dim=d)
-        added = 0
-        if cfg.start_adapt <= t <= iterations - cfg.freeze_add_tail:
-            dico, history, added = add_atoms(
-                dico, history, out.candidate_state, cfg.mu_max,
-                cfg.candidate_add_threshold, cfg.min_observations, iteration=t)
-        s_bar_raw = out.sparsity_accumulator / out.signals_used
-        if t >= cfg.start_adapt:
-            level = update_sparsity(level, out.s_bar, max_level=min(d, dico.K))
-        else:
-            level = min(level, max(1, min(d, dico.K)))
-        dist, mean_dist, rate = metrics_against(reference, dico, recovery_threshold)
-        traj.records.append(IterationRecord(
-            iteration=t, distance=dist, mean_atom_distance=mean_dist,
-            recovery_rate=rate, n_atoms=dico.K, sparsity=level,
-            s_bar=out.s_bar, replaced=0, pruned=merges + pruned, added=added,
-            wallclock_ms=(time.perf_counter() - t0) * 1e3,
-            s_bar_raw=s_bar_raw, s_t=out.s_t, merges=merges,
-            pruned_unused=pruned))
+    t0 = time.perf_counter()
+    with closing(signal_source.batches(iterations)) as batches:
+        for t, batch in enumerate(batches, start=1):
+            engine_cfg = EngineConfig(
+                sparsity=min(level, d, dico.K),
+                variant="adaptive",
+                candidate_count=cfg.candidate_count,
+                candidate_subbatches=m,
+                min_observations=cfg.min_observations,
+            )
+            cands = draw_candidates(d, cfg.candidate_count, rng)
+            out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng)
+            dico = out.new_dictionary
+            history.push(out.atom_scores)
+            dico, history, merges = prune_coherent(dico, history, cfg.mu_max)
+            pruned = 0
+            if t >= cfg.start_prune:
+                dico, history, pruned = prune_unused(
+                    dico, history, cfg.min_observations, cfg.max_pruned,
+                    iteration=t, ambient_dim=d)
+            added = 0
+            if cfg.start_adapt <= t <= iterations - cfg.freeze_add_tail:
+                dico, history, added = add_atoms(
+                    dico, history, out.candidate_state, cfg.mu_max,
+                    cfg.candidate_add_threshold, cfg.min_observations, iteration=t)
+            s_bar_raw = out.sparsity_accumulator / out.signals_used
+            if t >= cfg.start_adapt:
+                level = update_sparsity(level, out.s_bar, max_level=min(d, dico.K))
+            else:
+                level = min(level, max(1, min(d, dico.K)))
+            dist, mean_dist, rate = metrics_against(reference, dico, recovery_threshold)
+            now = time.perf_counter()
+            traj.records.append(IterationRecord(
+                iteration=t, distance=dist, mean_atom_distance=mean_dist,
+                recovery_rate=rate, n_atoms=dico.K, sparsity=level,
+                s_bar=out.s_bar, replaced=0, pruned=merges + pruned, added=added,
+                wallclock_ms=(now - t0) * 1e3,
+                s_bar_raw=s_bar_raw, s_t=out.s_t, merges=merges,
+                pruned_unused=pruned))
+            t0 = now
     traj.dictionary = dico
     return traj

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -99,20 +101,22 @@ class IterationOutput:
         return self.s_t_accumulator / self.signals_used
 
 
-def top_s_indices(abs_ip: np.ndarray, s: int) -> np.ndarray:
-    """Indices of the s largest entries per column, ties to the lowest index.
+def top_s_indices(ip: np.ndarray, s: int) -> np.ndarray:
+    """Indices of the s largest absolute entries per column, ties to the
+    lowest index.
 
-    Input is (K, N) and nonnegative (absolute inner products); output is
-    (s, N) with each column sorted ascending.  Each of s rounds takes the
-    row-wise argmax of a contiguous (N, K) copy and masks the winner with
+    Input is (K, N) (inner products); output is (s, N) with each column
+    sorted ascending.  Each of s rounds takes the row-wise argmax of one
+    contiguous (N, K) array of absolute values and masks the winner with
     -inf; argmax returns the first maximum, so ties go to the lowest index.
     """
-    k, n = abs_ip.shape
+    k, n = ip.shape
     if s > k:
         raise ValueError("sparsity exceeds the number of atoms")
     if s == k:
         return np.tile(np.arange(k, dtype=np.int64)[:, None], (1, n))
-    vals = abs_ip.T.copy()
+    vals = ip.T.copy()
+    np.abs(vals, out=vals)
     rows = np.arange(n)
     picked = np.empty((s, n), dtype=np.int64)
     for r in range(s):
@@ -130,7 +134,7 @@ def threshold_support(dico: Dictionary, y: np.ndarray, s: int) -> Support:
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if y.shape[0] != dico.d:
         raise ValueError("signal length does not match dictionary dimension")
-    idx = top_s_indices(np.abs(dico.atoms.T @ y), s)
+    idx = top_s_indices(dico.atoms.T @ y, s)
     return Support(idx[:, 0])
 
 
@@ -280,14 +284,18 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
             nc = hi - lo
             cols = np.arange(nc)
             ip = atoms.T @ y
-            sel = top_s_indices(np.abs(ip), s)              # (s, nc)
+            sel = top_s_indices(ip, s)                      # (s, nc)
             sel_t = sel.T                                   # (nc, s)
             sub_gram = gram[sel_t[:, :, None], sel_t[:, None, :]]
             b = np.take_along_axis(ip, sel, axis=0).T       # (nc, s)
+            # each (K, nc) temporary goes as soon as it is used, so that a
+            # batch drawn on the prefetch thread fits beside the iteration
+            del ip
             x = _batch_coefficients(sub_gram, b)
             coef = np.zeros((k, nc))
             coef[sel, cols[None, :]] = x.T
             approx = atoms @ coef
+            del coef
             resid = y - approx
             res_sq = np.einsum("ij,ij->j", resid, resid)
             app_sq = np.einsum("ij,ij->j", approx, approx)
@@ -295,6 +303,7 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
             signed = np.zeros((k, nc))
             signed[sel, cols[None, :]] = sign_pm(b).T
             acc_parts.append(resid @ signed.T)
+            del signed
             colsum_parts.append(
                 np.bincount(sel_t.ravel(), weights=np.abs(b).ravel(), minlength=k))
 
@@ -306,7 +315,9 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                 theta = (log_theta * res_sq + app_sq) / d
                 coeff_hits = np.count_nonzero(x ** 2 >= theta[:, None], axis=1)
                 res_ip = atoms.T @ resid
-                resid_hits = np.count_nonzero(res_ip ** 2 >= theta[None, :], axis=0)
+                res_ip **= 2
+                resid_hits = np.count_nonzero(res_ip >= theta[None, :], axis=0)
+                del res_ip
                 sbar_acc += int(coeff_hits.sum() + resid_hits.sum())
                 st_acc += int(coeff_hits.sum())
 
@@ -353,7 +364,15 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
 
 
 class FreshBatches:
-    """Signal source drawing a fresh seeded batch every iteration."""
+    """Signal source drawing a fresh seeded batch every iteration.
+
+    Batch t comes from its own generator, ``rng_from_seed(model.seed, t)``,
+    so it does not depend on iteration t-1.  ``batches`` therefore draws
+    batch t+1 on one worker thread while the caller runs iteration t; the
+    bytes are those of drawing one batch after the other.  No batch past
+    the last iteration is drawn, and a caller that stops early waits for at
+    most the one draw in flight.
+    """
 
     def __init__(self, model: SignalModel, n: int):
         self.model = model
@@ -363,6 +382,26 @@ class FreshBatches:
         return generate_batch(self.model, self.n,
                               rng=rng_from_seed(self.model.seed, iteration))
 
+    def batches(self, iterations: int) -> Iterator[SignalBatch]:
+        """The batches of iterations 1..iterations, each drawn ahead.
+
+        An error of a draw is raised where its batch is taken.  Closing the
+        generator early waits for the draw in flight, so no thread outlives
+        it.
+        """
+        if iterations < 1:
+            return
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(self.batch, 1)
+            try:
+                for t in range(1, iterations + 1):
+                    batch = pending.result()
+                    if t < iterations:
+                        pending = pool.submit(self.batch, t + 1)
+                    yield batch
+            finally:
+                pending.cancel()
+
 
 class FixedCorpus:
     """Signal source reusing the same batch every iteration (image data)."""
@@ -370,8 +409,9 @@ class FixedCorpus:
     def __init__(self, batch: SignalBatch):
         self._batch = batch
 
-    def batch(self, iteration: int) -> SignalBatch:
-        return self._batch
+    def batches(self, iterations: int) -> Iterator[SignalBatch]:
+        for _ in range(iterations):
+            yield self._batch
 
 
 @dataclass
@@ -388,7 +428,7 @@ class IterationRecord:
     replaced: int
     pruned: int
     added: int
-    wallclock_ms: float
+    wallclock_ms: float              # since the previous record, batch wait included
     s_bar_raw: Optional[float] = None
     s_t: Optional[float] = None
     merges: int = 0
@@ -441,37 +481,39 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
     rng = rng_from_seed(seed, 0x1752)
     dico = dico0
     traj = Trajectory()
-    for t in range(1, iterations + 1):
-        t0 = time.perf_counter()
-        batch = signal_source.batch(t)
-        replaced = 0
-        if cfg.variant == "replacement":
-            count = cfg.candidate_count
-            if count is None:
-                count = default_candidate_count(dico.d)
-            cands = draw_candidates(dico.d, count, rng)
-            learned = cands if candidate_source == "learned" else None
-            out = run_iteration(dico, batch, cfg, candidates=learned, rng=rng)
-            dico = out.new_dictionary
-            pool = out.candidate_state if candidate_source == "learned" else cands
-            events: List[tuple] = []
-            dico, v, pool, replaced = replace_coherent(dico, out.atom_scores,
-                                                       pool, policy,
-                                                       event_log=events)
-            dico, swapped = replace_unused(dico, v, pool, policy,
-                                           event_log=events)
-            replaced += swapped
-            traj.replacement_events += [(t,) + ev for ev in events]
-        else:
-            out = run_iteration(dico, batch, cfg)
-            dico = out.new_dictionary
-        dist, mean_dist, rate = metrics_against(reference, dico, recovery_threshold)
-        traj.records.append(IterationRecord(
-            iteration=t, distance=dist, mean_atom_distance=mean_dist,
-            recovery_rate=rate, n_atoms=dico.K, sparsity=cfg.sparsity,
-            s_bar=None, replaced=replaced, pruned=0, added=0,
-            wallclock_ms=(time.perf_counter() - t0) * 1e3))
-        if stop_at_full_recovery and rate is not None and rate >= 1.0:
-            break
+    t0 = time.perf_counter()
+    with closing(signal_source.batches(iterations)) as batches:
+        for t, batch in enumerate(batches, start=1):
+            replaced = 0
+            if cfg.variant == "replacement":
+                count = cfg.candidate_count
+                if count is None:
+                    count = default_candidate_count(dico.d)
+                cands = draw_candidates(dico.d, count, rng)
+                learned = cands if candidate_source == "learned" else None
+                out = run_iteration(dico, batch, cfg, candidates=learned, rng=rng)
+                dico = out.new_dictionary
+                pool = out.candidate_state if candidate_source == "learned" else cands
+                events: List[tuple] = []
+                dico, v, pool, replaced = replace_coherent(dico, out.atom_scores,
+                                                           pool, policy,
+                                                           event_log=events)
+                dico, swapped = replace_unused(dico, v, pool, policy,
+                                               event_log=events)
+                replaced += swapped
+                traj.replacement_events += [(t,) + ev for ev in events]
+            else:
+                out = run_iteration(dico, batch, cfg)
+                dico = out.new_dictionary
+            dist, mean_dist, rate = metrics_against(reference, dico, recovery_threshold)
+            now = time.perf_counter()
+            traj.records.append(IterationRecord(
+                iteration=t, distance=dist, mean_atom_distance=mean_dist,
+                recovery_rate=rate, n_atoms=dico.K, sparsity=cfg.sparsity,
+                s_bar=None, replaced=replaced, pruned=0, added=0,
+                wallclock_ms=(now - t0) * 1e3))
+            t0 = now
+            if stop_at_full_recovery and rate is not None and rate >= 1.0:
+                break
     traj.dictionary = dico
     return traj

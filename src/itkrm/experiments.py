@@ -1,9 +1,9 @@
 """Reproducible experiment driver: scenarios, manifests, CSV output.
 
 Every experiment is described by a flat ExperimentSpec; running one writes a
-JSON manifest (enough to re-run it), per-trial trajectory CSVs, an aggregate
-CSV with mean/std across trials, and the final dictionaries in the binary
-container format.
+JSON manifest (enough to re-run it, plus the environment its bytes depend
+on), per-trial trajectory CSVs, an aggregate CSV with mean/std across
+trials, and the final dictionaries in the binary container format.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import platform
 from dataclasses import asdict, dataclass, fields, replace as dc_replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -369,6 +370,19 @@ def worker_count() -> int:
     return max(1, int(os.environ.get("ITKRM_WORKERS", "1")))
 
 
+# The same seed gives the same bytes at a fixed BLAS thread count, which
+# these variables set; a different count may change the last bits.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """What a run's bytes depend on besides its spec."""
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "cpu_count": os.cpu_count()}
+    env.update((name, os.environ.get(name)) for name in BLAS_THREAD_VARS)
+    return env
+
+
 def run_experiment(spec: ExperimentSpec) -> Path:
     """Run all trials of a spec and write the artifact directory."""
     spec.validate()
@@ -382,7 +396,7 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     except OSError as exc:
         raise RuntimeError(f"output directory not writable: {exc}") from exc
 
-    manifest = {"spec": asdict(spec), "version": 1}
+    manifest = {"spec": asdict(spec), "version": 1, "environment": environment()}
     if spec.scenario.startswith("adaptive"):
         d_eff = spec.patch_side ** 2 if spec.scenario == "adaptive_image" else spec.d
         cfg = _adaptive_config(spec, d_eff).resolve(d_eff)

@@ -21,7 +21,8 @@ from .linalg import Dictionary
 # Sign draws tried by _balanced_perturbation before it gives up.
 PERTURBATION_DRAWS = 100
 
-# Signals per chunk of uniform position keys drawn by generate_batch.
+# Signals per row block of generate_batch: uniform position keys are drawn,
+# and coefficient rows normalized, this many rows at a time.
 KEY_ROWS = 1024
 
 
@@ -146,19 +147,12 @@ def _draw_coefficient_rows(model: CoefficientModel, size: int, n: int,
                 sparsities[rows] = sub_s
     else:
         raise TypeError(f"unknown coefficient model {type(model).__name__}")
-    norms = np.linalg.norm(c, axis=1, keepdims=True)
-    c /= norms
+    # each row's norm is reduced alone, so row blocks give the bytes of one
+    # whole-array norm without its (n, size) temporary of squares
+    for lo in range(0, n, KEY_ROWS):
+        block = c[lo:lo + KEY_ROWS]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
     return c, sparsities
-
-
-def draw_coefficients(model: CoefficientModel, size: int, rng: np.random.Generator):
-    """Draw one coefficient sequence of the given length.
-
-    Returns ``(c, s)``: c is nonnegative, non-increasing, l2-normalized and
-    zero beyond the effective sparsity s.
-    """
-    c, s = _draw_coefficient_rows(model, size, 1, rng)
-    return c[0], int(s[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from itkrm import engine
+from itkrm.adaptive import AdaptiveConfig, run_adaptive
 from itkrm.candidates import (ReplacementPolicy, candidate_signal_update,
                               draw_candidates)
 from itkrm.engine import (EngineConfig, FixedCorpus, FreshBatches,
@@ -17,7 +21,8 @@ from itkrm.linalg import Dictionary, Support, asym_distance
 from itkrm.signals import (BalancedCoefficients, GeometricCoefficients,
                            SignalBatch, SignalModel, TwoSparseCoefficients,
                            generate_batch, make_dirac_hadamard,
-                           noise_std_for_snr, rng_from_seed)
+                           make_random_sphere, noise_std_for_snr,
+                           rng_from_seed)
 
 from conftest import random_dictionary
 
@@ -91,11 +96,13 @@ def _top_s_oracle(a, s):
 
 @st.composite
 def _tied_columns(draw):
-    """Nonnegative (K, N) arrays from a small value set, some columns zero."""
+    """(K, N) arrays of a small value set with random signs, some columns
+    zero."""
     k = draw(st.integers(1, 9))
     n = draw(st.integers(1, 6))
     a = draw(arrays(np.float64, (k, n),
                     elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])))
+    a[draw(arrays(np.bool_, (k, n)))] *= -1.0
     zero = draw(arrays(np.bool_, (n,)))
     a[:, zero] = 0.0
     s = draw(st.sampled_from(sorted({1, max(1, k - 1), k,
@@ -114,7 +121,7 @@ def test_top_s_indices_matches_stable_sort_oracle(case):
     before = a.copy()
     got = top_s_indices(a, s)
     assert got.dtype == np.int64
-    assert np.array_equal(got, _top_s_oracle(a, s))
+    assert np.array_equal(got, _top_s_oracle(np.abs(a), s))
     assert np.array_equal(a, before)       # the input is not modified
 
 
@@ -397,3 +404,144 @@ def test_run_learning_fixed_seed_reproducible(rng):
     b = run_learning(init, source, cfg, 3, reference=dico, seed=5)
     assert np.array_equal(a.dictionary.atoms, b.dictionary.atoms)
     assert [r.distance for r in a.records] == [r.distance for r in b.records]
+
+
+# --- batch prefetch ----------------------------------------------------------
+
+def _prefetch_model(seed=11):
+    gen = make_random_sphere(12, 16, rng_from_seed(seed, 1))
+    return SignalModel(dictionary=gen, coeffs=GeometricCoefficients(0.9, 1.0, 3),
+                       noise_std_per_component=noise_std_for_snr(16, 12),
+                       outlier_rate=0.05, outlier_std_per_component=1 / 12,
+                       seed=seed)
+
+
+class SerialBatches(FreshBatches):
+    """Each batch drawn on the calling thread when its iteration starts."""
+
+    def batches(self, iterations):
+        for t in range(1, iterations + 1):
+            yield self.batch(t)
+
+
+class FailingBatches(FreshBatches):
+    """Raises from the draw of iteration 2."""
+
+    error = RuntimeError("draw failed")
+
+    def batch(self, iteration):
+        if iteration == 2:
+            raise self.error
+        return super().batch(iteration)
+
+
+@pytest.fixture
+def draw_count(monkeypatch):
+    calls = []
+    real = engine.generate_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(engine, "generate_batch", counting)
+    return calls
+
+
+def _same_records(a, b):
+    strip = [{**vars(r), "wallclock_ms": None} for r in a.records]
+    assert strip == [{**vars(r), "wallclock_ms": None} for r in b.records]
+    assert a.dictionary.atoms.tobytes() == b.dictionary.atoms.tobytes()
+
+
+def test_fresh_batches_yields_the_seeded_draws():
+    model = _prefetch_model()
+    got = list(FreshBatches(model, 200).batches(3))
+    assert len(got) == 3
+    for t, batch in enumerate(got, start=1):
+        want = generate_batch(model, 200, rng=rng_from_seed(model.seed, t))
+        assert batch.signals.tobytes() == want.signals.tobytes()
+        for name in ("support", "signs", "coeffs", "sparsity", "is_outlier"):
+            assert getattr(batch.truth, name).tobytes() == \
+                getattr(want.truth, name).tobytes()
+
+
+def test_prefetched_learning_equals_serial_draws():
+    model = _prefetch_model()
+    init = make_random_sphere(12, 16, rng_from_seed(12))
+    cfg = EngineConfig(sparsity=3, variant="replacement")
+    a, b = (run_learning(init, source(model, 300), cfg, 4,
+                         reference=model.dictionary,
+                         policy=ReplacementPolicy(0.7, "merge"), seed=5)
+            for source in (FreshBatches, SerialBatches))
+    _same_records(a, b)
+    assert a.replacement_events == b.replacement_events
+
+
+def test_prefetched_adaptive_equals_serial_draws():
+    model = _prefetch_model()
+    init = make_random_sphere(12, 24, rng_from_seed(13))
+    a, b = (run_adaptive(init, source(model, 600), AdaptiveConfig(), 8,
+                         reference=model.dictionary, seed=5)
+            for source in (FreshBatches, SerialBatches))
+    _same_records(a, b)
+
+
+def test_draw_error_reaches_run_adaptive():
+    model = _prefetch_model()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        run_adaptive(model.dictionary, FailingBatches(model, 100),
+                     AdaptiveConfig(), 3, seed=1)
+    assert info.value is FailingBatches.error
+    assert threading.active_count() == before
+
+
+def test_prefetch_draws_one_batch_per_iteration(draw_count):
+    model = _prefetch_model()
+    run_learning(model.dictionary, FreshBatches(model, 100),
+                 EngineConfig(sparsity=3), 5, seed=1)
+    assert len(draw_count) == 5
+
+
+def test_early_stop_draws_at_most_one_batch_ahead(draw_count):
+    model = _prefetch_model()
+    before = threading.active_count()
+    traj = run_learning(model.dictionary, FreshBatches(model, 100),
+                        EngineConfig(sparsity=3), 10, reference=model.dictionary,
+                        recovery_threshold=0.9, stop_at_full_recovery=True,
+                        seed=1)
+    assert len(traj.records) == 1
+    assert len(draw_count) <= len(traj.records) + 1
+    assert threading.active_count() == before
+
+
+def test_iteration_error_leaves_no_prefetch_thread():
+    model = _prefetch_model()
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="batch dimension"):
+        run_learning(make_random_sphere(8, 16, rng_from_seed(1)),
+                     FreshBatches(model, 100), EngineConfig(sparsity=3), 5)
+    assert threading.active_count() == before
+
+
+def test_adaptive_iteration_peak_memory():
+    # (K, nc) temporaries are freed once used, so that a batch drawn on the
+    # prefetch thread fits beside the iteration: one adaptive iteration
+    # peaks at about 2.8 of them (6.8 when each lived to the end of its
+    # sub-batch and thresholding made a second absolute copy).
+    d, k, n, m = 16, 128, 4000, 4
+    model = SignalModel(dictionary=make_random_sphere(d, k, rng_from_seed(1)),
+                        coeffs=GeometricCoefficients(0.9, 1.0, 3),
+                        noise_std_per_component=0.02, seed=3)
+    batch = generate_batch(model, n, rng=rng_from_seed(3, 1))
+    init = make_random_sphere(d, k, rng_from_seed(2))
+    cfg = EngineConfig(sparsity=3, variant="adaptive", candidate_subbatches=m,
+                       min_observations=40)
+    cands = draw_candidates(d, 3, rng_from_seed(4))
+    tracemalloc.start()
+    try:
+        run_iteration(init, batch, cfg, candidates=cands, rng=rng_from_seed(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * k * (n // m) * 8

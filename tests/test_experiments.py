@@ -1,6 +1,8 @@
 import json
+import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from itkrm import container
@@ -60,6 +62,19 @@ def test_trials_zero_writes_manifest_only(tmp_path):
     assert files == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["spec"]["scenario"] == "plain_recovery"
+
+
+def test_manifest_records_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = run_experiment(tiny_spec(tmp_path, trials=0))
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "cpu_count", "OPENBLAS_NUM_THREADS",
+                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["OMP_NUM_THREADS"] == "3"
+    assert env["MKL_NUM_THREADS"] is None
 
 
 def test_plain_recovery_artifacts(tmp_path):

@@ -7,16 +7,23 @@ from itkrm.linalg import Dictionary, Support, coherence, project_onto_span, reco
 from itkrm.signals import (KEY_ROWS, BalancedCoefficients, CoefficientMixture,
                            GeometricCoefficients, SignalModel,
                            TwoSparseCoefficients, _draw_coefficient_rows,
-                           _model_sparsity, draw_coefficients,
-                           generate_batch, hadamard_matrix, make_bad_initialization,
-                           make_dirac_hadamard, make_random_sphere,
-                           make_spurious_estimate, noise_std_for_snr,
-                           rng_from_seed)
+                           _model_sparsity, generate_batch, hadamard_matrix,
+                           make_bad_initialization, make_dirac_hadamard,
+                           make_random_sphere, make_spurious_estimate,
+                           noise_std_for_snr, rng_from_seed)
 
 from conftest import random_dictionary
 
 
 # --- coefficient draws -----------------------------------------------------
+
+def draw_coefficients(model, size, rng):
+    """One coefficient sequence of the given length, as ``(c, s)``: c is
+    nonnegative, non-increasing, l2-normalized and zero beyond the effective
+    sparsity s."""
+    c, s = _draw_coefficient_rows(model, size, 1, rng)
+    return c[0], int(s[0])
+
 
 def test_geometric_q_one_is_balanced(rng):
     c, s = draw_coefficients(GeometricCoefficients(1.0, 1.0, 4), 16, rng)
