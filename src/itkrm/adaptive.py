@@ -81,44 +81,31 @@ class AdaptiveConfig:
     mu_max: float = 0.7
     min_observations: Optional[int] = None      # M; default round(d log d)
     candidate_add_threshold: Optional[int] = None  # M_Gamma; default d
-    memory: Optional[int] = None                # m; default round(log d)
-    max_pruned: Optional[int] = None            # delta; default round(d/5)
-    start_adapt: Optional[int] = None           # default m
-    start_prune: Optional[int] = None           # default 2m
-    freeze_add_tail: Optional[int] = None       # default 3m
+    freeze_add_tail: Optional[int] = None       # default 3m, m = round(log d)
     candidate_count: Optional[int] = None       # L; default round(log d)
 
     def __post_init__(self):
         if not (0.0 < self.mu_max < 1.0):
             raise ValueError("mu_max must lie in (0, 1)")
-        for name in ("min_observations", "candidate_add_threshold", "memory",
-                     "max_pruned", "start_adapt", "start_prune",
+        for name in ("min_observations", "candidate_add_threshold",
                      "freeze_add_tail", "candidate_count"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive")
 
     def resolve(self, d: int) -> "AdaptiveConfig":
-        m = self.memory if self.memory is not None else default_candidate_count(d)
-        resolved = dc_replace(
+        m = default_candidate_count(d)
+        return dc_replace(
             self,
             min_observations=self.min_observations
             if self.min_observations is not None else round_half_up(d * math.log(d)),
             candidate_add_threshold=self.candidate_add_threshold
             if self.candidate_add_threshold is not None else d,
-            memory=m,
-            max_pruned=self.max_pruned
-            if self.max_pruned is not None else max(1, round_half_up(d / 5)),
-            start_adapt=self.start_adapt if self.start_adapt is not None else m,
-            start_prune=self.start_prune if self.start_prune is not None else 2 * m,
             freeze_add_tail=self.freeze_add_tail
             if self.freeze_add_tail is not None else 3 * m,
             candidate_count=self.candidate_count
-            if self.candidate_count is not None else default_candidate_count(d),
+            if self.candidate_count is not None else m,
         )
-        if resolved.start_prune < resolved.start_adapt:
-            raise ValueError("start_prune must be >= start_adapt")
-        return resolved
 
 
 def update_sparsity(level: int, s_bar: float, *, max_level: int) -> int:
@@ -242,15 +229,18 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     """Full adaptive learning loop.
 
     Per iteration: engine pass with adaptive counters and fresh candidates,
-    coherent-pair pruning (every iteration), unused-atom pruning (from
-    iteration 2m), candidate adding (from iteration m, frozen during the
-    last 3m iterations), then the one-step sparsity update (from iteration
-    m).  The sparsity level starts at 1.
+    coherent-pair pruning (every iteration), unused-atom pruning of at most
+    round(d/5) atoms (from iteration 2m), candidate adding (from iteration
+    m, frozen during the last ``freeze_add_tail`` iterations, 3m by
+    default), then the one-step sparsity update (from iteration m).  The
+    score memory is m = round(log d) iterations.  The sparsity level starts
+    at 1.
     """
     d = dico0.d
     cfg = cfg.resolve(d)
     rng = rng_from_seed(seed, 0xADA)
-    m = cfg.memory
+    m = default_candidate_count(d)
+    max_pruned = max(1, round_half_up(d / 5))
     dico = dico0
     history = ScoreHistory.empty(dico.K, m)
     level = 1
@@ -271,17 +261,17 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
             history.push(out.atom_scores)
             dico, history, merges = prune_coherent(dico, history, cfg.mu_max)
             pruned = 0
-            if t >= cfg.start_prune:
+            if t >= 2 * m:
                 dico, history, pruned = prune_unused(
-                    dico, history, cfg.min_observations, cfg.max_pruned,
+                    dico, history, cfg.min_observations, max_pruned,
                     iteration=t, ambient_dim=d)
             added = 0
-            if cfg.start_adapt <= t <= iterations - cfg.freeze_add_tail:
+            if m <= t <= iterations - cfg.freeze_add_tail:
                 dico, history, added = add_atoms(
                     dico, history, out.candidate_state, cfg.mu_max,
                     cfg.candidate_add_threshold, cfg.min_observations, iteration=t)
             s_bar_raw = out.sparsity_accumulator / out.signals_used
-            if t >= cfg.start_adapt:
+            if t >= m:
                 level = update_sparsity(level, out.s_bar, max_level=min(d, dico.K))
             else:
                 level = min(level, max(1, min(d, dico.K)))

@@ -11,7 +11,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import EIG_TRUNCATION, Dictionary, Support, solve_normal_equations
+from .linalg import (Dictionary, Support, cholesky_append,
+                     cholesky_back_substitute, solve_normal_equations)
 from .signals import SignalBatch
 
 OMP_RESIDUAL_TOL = 1e-12
@@ -67,18 +68,16 @@ def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
 
     Batch-OMP (R. Rubinstein, M. Zibulevsky, M. Elad, Technion CS-2008-08):
     the residual itself is never formed.  Each signal keeps a lower-triangular
-    Cholesky factor L of its support's sub-Gram, grown by one row per pick
-    (forward substitution against the new Gram column), and z = L^-1 Phi_I^T y,
-    grown by one entry; the squared residual then falls by z_j^2 per pick.
-    The next pick maximizes |Phi^T y - G gamma| over the atoms not yet taken
-    (ties to the lowest index), with gamma = L^-T z: one (N, K) x (K, K)
-    product per pick.  The factor, z and gamma keep the signals on the last,
-    contiguous axis, so every substitution step is one vector op over N.
+    Cholesky factor L of its support's sub-Gram and z = L^-1 Phi_I^T y, both
+    grown by one row per pick with ``linalg.cholesky_append``; the squared
+    residual then falls by z_j^2 per pick.  The next pick maximizes
+    |Phi^T y - G gamma| over the atoms not yet taken (ties to the lowest
+    index), with gamma = L^-T z: one (N, K) x (K, K) product per pick.
 
-    A pick whose pivot G_kk - |w|^2 is not above EIG_TRUNCATION lies in the
-    span of the atoms already taken (a duplicate atom, or any pick once the
-    support spans R^d): its reciprocal pivot is set to 0, so it
-    adds nothing to the span, to z or to gamma, as in a minimum-norm solve.
+    A pick whose pivot is not above EIG_TRUNCATION lies in the span of the
+    atoms already taken (a duplicate atom, or any pick once the support spans
+    R^d); the kernel drops it from z and gamma.  The errors depend only on the
+    span, so unlike the learning iteration they need no eigh fallback.
 
     ``preselect`` forces one atom into every support before the greedy picks
     (used for the always-included flat atom); its projection is not counted
@@ -106,10 +105,7 @@ def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
             winners = np.full(n, forced, dtype=np.int64)
         else:
             if j:
-                for i in range(j - 1, -1, -1):      # back substitution L^T gamma = z
-                    gamma[i] = z[i] - np.einsum("ij,ij->j", chol[i + 1:j, i],
-                                                gamma[i + 1:j])
-                    gamma[i] *= rdiag[i]
+                cholesky_back_substitute(chol, rdiag, z, j, out=gamma)
                 scatter[cols, sel[:j]] = gamma[:j]
                 np.matmul(scatter, gram, out=alpha)
                 np.subtract(alpha0, alpha, out=alpha)
@@ -119,15 +115,8 @@ def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
                 np.abs(alpha0, out=alpha)
             winners = np.argmax(alpha, axis=1)
         sel[j] = winners
-        w = chol[j, :j]                             # forward substitution L w = G[I, k]
-        w[...] = gram[sel[:j], winners]
-        for i in range(j):
-            w[i] -= np.einsum("ij,ij->j", chol[i, :i], w[:i])
-            w[i] *= rdiag[i]
-        pivot = diag[winners] - np.einsum("ij,ij->j", w, w)
-        live = pivot > EIG_TRUNCATION
-        rdiag[j] = np.where(live, 1.0 / np.sqrt(np.where(live, pivot, 1.0)), 0.0)
-        z[j] = (alpha0[cols, winners] - np.einsum("ij,ij->j", w, z[:j])) * rdiag[j]
+        cholesky_append(chol, rdiag, z, j, gram[sel[:j], winners], diag[winners],
+                        alpha0[cols, winners])
         err -= z[j] ** 2
         np.maximum(err, 0.0, out=err)
         if forced is None:

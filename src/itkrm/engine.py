@@ -11,10 +11,13 @@ and accumulates the recoverable-sparsity estimate that drives the adaptive
 sparsity update.
 
 The batched implementation walks the signals in sub-batch chunks whose walls
-coincide with the candidate renormalization boundaries, and combines the
-per-chunk partial sums with a pairwise tree.  Thresholding picks the S
-largest absolute inner products of each signal by S rounds of first-maximum
-argmax with the winner masked, so ties go to the lowest atom index.
+coincide with the candidate renormalization boundaries, and adds each chunk's
+partial sums to running totals.  Thresholding picks the S largest absolute
+inner products of each signal by S rounds of first-maximum argmax with the
+winner masked, so ties go to the lowest atom index.  The normal equations of
+all signals of a chunk are solved by the batched Cholesky kernel of
+``linalg``; only signals whose support holds duplicate or near-duplicate
+atoms (a pivot not above EIG_TRUNCATION) get the truncated-eigh solution.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ import numpy as np
 from .candidates import (CandidateSet, ReplacementPolicy, candidate_threshold,
                          draw_candidates, normalize_subbatch, replace_coherent,
                          replace_unused)
-from .linalg import (Dictionary, Support, asym_distance, mean_atom_distance,
-                     recovery_rate, sign_pm, solve_normal_equations)
+from .linalg import (Dictionary, Support, asym_distance, cholesky_append,
+                     cholesky_back_substitute, mean_atom_distance,
+                     project_onto_span, recovery_rate, sign_pm,
+                     solve_normal_equations)
 from .signals import SignalBatch, SignalModel, generate_batch, rng_from_seed
 
 # Residuals below this fraction of the signal norm count as zero for
@@ -192,44 +197,9 @@ def oracle_residual(dico: Dictionary, y: np.ndarray, support: Support,
     signs = np.asarray(signs, dtype=np.float64).ravel()
     if signs.size != support.size:
         raise ValueError("one sign per support index required")
-    sub = dico.atoms[:, support.indices]
-    proj, _ = _project(sub, y)
+    proj, _ = project_onto_span(dico, support, y)
     atom = dico.atoms[:, k]
     return (y - proj + (atom @ y) * atom) * signs[where[0]]
-
-
-def _project(sub: np.ndarray, y: np.ndarray):
-    coeffs = solve_normal_equations(sub.T @ sub, sub.T @ y)
-    return sub @ coeffs, coeffs
-
-
-def _batch_coefficients(sub_gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched normal-equation solve for the iteration hot path.
-
-    Plain LU is an order of magnitude faster than the eigendecomposition
-    route and its error on near-singular sub-Grams stays confined to the
-    near-null direction, which cancels in the reconstruction; exactly
-    singular batches (duplicate atoms) fall back to the truncated solver.
-    """
-    try:
-        x = np.linalg.solve(sub_gram, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return solve_normal_equations(sub_gram, rhs)
-    if not np.isfinite(x).all():
-        return solve_normal_equations(sub_gram, rhs)
-    return x
-
-
-def _pairwise_sum(parts: List[np.ndarray]) -> np.ndarray:
-    """Pairwise-tree sum of equally shaped arrays."""
-    if not parts:
-        raise ValueError("nothing to sum")
-    while len(parts) > 1:
-        nxt = [parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)]
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
 
 
 def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
@@ -272,9 +242,9 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
 
     boundaries = {j * n_gamma for j in range(1, m) if j * n_gamma <= n}
     walls = sorted({0, n} | boundaries)
-    acc_parts: List[np.ndarray] = []
-    colsum_parts: List[np.ndarray] = []
-    score_parts: List[np.ndarray] = []
+    acc = np.zeros((d, k))           # sum of signed residuals per atom
+    colsum = np.zeros(k)             # sum of |<atom, y>| over its selections
+    scores = np.zeros(k, dtype=np.int64)
     sbar_acc = 0
     st_acc = 0
 
@@ -285,15 +255,27 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
             cols = np.arange(nc)
             ip = atoms.T @ y
             sel = top_s_indices(ip, s)                      # (s, nc)
-            sel_t = sel.T                                   # (nc, s)
-            sub_gram = gram[sel_t[:, :, None], sel_t[:, None, :]]
-            b = np.take_along_axis(ip, sel, axis=0).T       # (nc, s)
+            sub_gram = gram[sel[:, None, :], sel[None, :, :]]   # (s, s, nc)
+            b = np.take_along_axis(ip, sel, axis=0)         # (s, nc)
             # each (K, nc) temporary goes as soon as it is used, so that a
             # batch drawn on the prefetch thread fits beside the iteration
             del ip
-            x = _batch_coefficients(sub_gram, b)
+            chol = np.zeros((s, s, nc))
+            rdiag = np.empty((s, nc))
+            x = np.empty((s, nc))                           # z = L^-1 b, then x
+            live = np.logical_and.reduce([
+                cholesky_append(chol, rdiag, x, j, sub_gram[:j, j], sub_gram[j, j], b[j])
+                for j in range(s)])
+            cholesky_back_substitute(chol, rdiag, x, s, out=x)
+            degenerate = np.flatnonzero(~live)
+            if degenerate.size:
+                # duplicate atoms: the coefficients feed the value counters,
+                # so these signals get the minimum-norm answer
+                x[:, degenerate] = solve_normal_equations(
+                    sub_gram[:, :, degenerate].transpose(2, 0, 1),
+                    b[:, degenerate].T).T
             coef = np.zeros((k, nc))
-            coef[sel, cols[None, :]] = x.T
+            coef[sel, cols[None, :]] = x
             approx = atoms @ coef
             del coef
             resid = y - approx
@@ -301,19 +283,18 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
             app_sq = np.einsum("ij,ij->j", approx, approx)
 
             signed = np.zeros((k, nc))
-            signed[sel, cols[None, :]] = sign_pm(b).T
-            acc_parts.append(resid @ signed.T)
+            signed[sel, cols[None, :]] = sign_pm(b)
+            acc += resid @ signed.T
             del signed
-            colsum_parts.append(
-                np.bincount(sel_t.ravel(), weights=np.abs(b).ravel(), minlength=k))
+            colsum += np.bincount(sel.T.ravel(), weights=np.abs(b).T.ravel(),
+                                  minlength=k)
 
             tau = (log_tau * res_sq + app_sq) / d if adaptive else np.zeros(nc)
-            hits = x ** 2 >= tau[:, None]
-            score_parts.append(np.bincount(sel_t[hits], minlength=k))
+            scores += np.bincount(sel[x ** 2 >= tau], minlength=k)
 
             if adaptive:
                 theta = (log_theta * res_sq + app_sq) / d
-                coeff_hits = np.count_nonzero(x ** 2 >= theta[:, None], axis=1)
+                coeff_hits = np.count_nonzero(x ** 2 >= theta, axis=0)
                 res_ip = atoms.T @ resid
                 res_ip **= 2
                 resid_hits = np.count_nonzero(res_ip >= theta[None, :], axis=0)
@@ -341,8 +322,7 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
             normalize_subbatch(candidates, rng,
                                reset_scores=(cfg.variant == "adaptive"))
 
-    raw = _pairwise_sum(acc_parts) + atoms * _pairwise_sum(colsum_parts)
-    scores = _pairwise_sum(score_parts).astype(np.int64)
+    raw = acc + atoms * colsum
     raw_norms = np.linalg.norm(raw, axis=0)
     dead = raw_norms < DEAD_ATOM_FLOOR
     new_atoms = np.where(dead[None, :], atoms,

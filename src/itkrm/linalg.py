@@ -119,6 +119,41 @@ def solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.einsum("...kj,...j->...k", v, w_inv * proj)
 
 
+def cholesky_append(chol: np.ndarray, rdiag: np.ndarray, z: np.ndarray, j: int,
+                    gram_col: np.ndarray, gram_diag: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
+    """Grow row j of N Cholesky factors L and entry j of z = L^-1 b.
+
+    N is the last, contiguous axis, so each substitution step is one vector
+    op: ``chol[i, :i]`` is row i of L below the diagonal, ``rdiag[i]`` is
+    1 / L[i, i].  The new atom brings its Gram column against the j earlier
+    atoms ``gram_col`` (j, N), its squared norm ``gram_diag`` and its entry
+    ``rhs`` of b.  A pivot ``gram_diag - |L^-1 gram_col|^2`` not above
+    EIG_TRUNCATION (a duplicate atom) gets reciprocal 0, so the atom adds
+    nothing to z or x.  Returns the (N,) mask of pivots above EIG_TRUNCATION.
+    """
+    w = chol[j, :j]
+    w[...] = gram_col
+    for i in range(j):
+        w[i] -= np.einsum("ij,ij->j", chol[i, :i], w[:i])
+        w[i] *= rdiag[i]
+    pivot = gram_diag - np.einsum("ij,ij->j", w, w)
+    live = pivot > EIG_TRUNCATION
+    rdiag[j] = np.where(live, 1.0 / np.sqrt(np.where(live, pivot, 1.0)), 0.0)
+    z[j] = (rhs - np.einsum("ij,ij->j", w, z[:j])) * rdiag[j]
+    return live
+
+
+def cholesky_back_substitute(chol: np.ndarray, rdiag: np.ndarray, z: np.ndarray,
+                             j: int, out: np.ndarray) -> np.ndarray:
+    """Solve L^T x = z[:j] with the factors of :func:`cholesky_append`;
+    x goes to ``out[:j]``, which may be ``z``."""
+    for i in range(j - 1, -1, -1):
+        out[i] = z[i] - np.einsum("ij,ij->j", chol[i + 1:j, i], out[i + 1:j])
+        out[i] *= rdiag[i]
+    return out
+
+
 def coherence(dico: Dictionary) -> float:
     """Maximal absolute inner product between two distinct atoms."""
     if dico.K < 2:

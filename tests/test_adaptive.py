@@ -257,10 +257,6 @@ def test_run_adaptive_pinned_trajectory():
 
 def test_adaptive_config_resolution():
     cfg = AdaptiveConfig().resolve(128)
-    assert cfg.memory == 5
     assert cfg.min_observations == round(128 * math.log(128))
     assert cfg.candidate_add_threshold == 128
-    assert cfg.max_pruned == 26
-    assert cfg.start_adapt == 5
-    assert cfg.start_prune == 10
     assert cfg.freeze_add_tail == 15

@@ -203,10 +203,32 @@ def _small_batch(rng, d=12, k=16, s=3, n=150, noise_snr=16.0, seed=5):
     return dico, generate_batch(model, n)
 
 
-@pytest.mark.parametrize("variant", ["plain", "replacement", "adaptive"])
-def test_run_iteration_matches_per_signal_reference(rng, variant):
+def _estimate_with_pair(rng, eps):
+    """Random 12 x 16 estimate whose atom 5 is atom 4 plus eps noise."""
+    atoms = random_dictionary(12, 16, rng).atoms
+    atoms[:, 5] = atoms[:, 4] + eps * rng.standard_normal(12)
+    return Dictionary.from_columns(atoms, normalize=True)
+
+
+def _reference_inputs(rng, case):
+    """(estimate, batch) of one input of the per-signal reference test."""
+    if case == "tiny_batch":     # N = 2 signals, fewer than m = 3 sub-batches
+        dico, batch = _small_batch(rng, n=2)
+        return random_dictionary(12, 16, rng), batch
     dico, batch = _small_batch(rng)
-    est = random_dictionary(12, 16, rng)
+    if case == "duplicate_pair":
+        return _estimate_with_pair(rng, 0.0), batch
+    if case == "near_duplicate_pair":
+        return _estimate_with_pair(rng, 1e-6), batch
+    return random_dictionary(12, 16, rng), batch
+
+
+@pytest.mark.parametrize("variant,case", [
+    pytest.param(variant, case, id=variant if case == "random" else f"{variant}-{case}")
+    for case in ("random", "duplicate_pair", "near_duplicate_pair", "tiny_batch")
+    for variant in ("plain", "replacement", "adaptive")])
+def test_run_iteration_matches_per_signal_reference(rng, variant, case):
+    est, batch = _reference_inputs(rng, case)
     cfg = EngineConfig(sparsity=3, variant=variant, min_observations=10,
                        candidate_subbatches=3, candidate_count=2)
     cands = draw_candidates(12, 2, rng_from_seed(1)) if variant != "plain" else None
@@ -220,7 +242,8 @@ def test_run_iteration_matches_per_signal_reference(rng, variant):
     sbar = 0
     cands2 = draw_candidates(12, 2, rng_from_seed(1)) if variant != "plain" else None
     if cands2 is not None:
-        cands2.subbatch_size = batch.n // 3
+        cands2.subbatch_size = max(1, batch.n // 3)
+    redraw_rng = rng_from_seed(2)
     for n in range(batch.n):
         y = batch.signals[:, n]
         contrib = signal_update(est, y, cfg, batch_size=batch.n)
@@ -232,7 +255,7 @@ def test_run_iteration_matches_per_signal_reference(rng, variant):
             candidate_signal_update(
                 cands2, contrib.residual,
                 "adaptive" if variant == "adaptive" else "replacement",
-                dictionary_size=k, training_subbatches=3, rng=rng_from_seed(2),
+                dictionary_size=k, training_subbatches=3, rng=redraw_rng,
                 zero_tol=1e-10 * np.linalg.norm(y))
     norms = np.linalg.norm(raw, axis=0)
     assert np.allclose(out.raw_norms, norms, rtol=1e-9, atol=1e-12)
@@ -248,6 +271,32 @@ def test_run_iteration_matches_per_signal_reference(rng, variant):
         got = out.candidate_state
         assert np.allclose(got.atoms, cands2.atoms, atol=1e-9)
         assert np.array_equal(got.scores, cands2.scores)
+
+
+def test_eigh_fallback_gets_only_degenerate_columns(rng, monkeypatch):
+    # the sub-Grams run_iteration hands to the truncated-eigh solver
+    solve = engine.solve_normal_equations
+    handed = []
+
+    def counting_solve(gram, rhs):
+        handed.append(gram)
+        return solve(gram, rhs)
+
+    monkeypatch.setattr(engine, "solve_normal_equations", counting_solve)
+    cfg = EngineConfig(sparsity=3, variant="adaptive", min_observations=10,
+                       candidate_subbatches=3)
+    _, batch = _small_batch(rng)
+    run_iteration(random_dictionary(12, 16, rng), batch, cfg)
+    assert handed == []
+
+    est = _estimate_with_pair(rng, 0.0)
+    run_iteration(est, batch, cfg)
+    sel = top_s_indices(est.atoms.T @ batch.signals, 3)
+    both = int(np.count_nonzero((sel == 4).any(axis=0) & (sel == 5).any(axis=0)))
+    assert both > 0
+    assert sum(g.shape[0] for g in handed) == both
+    for gram in handed:
+        assert np.all(np.isclose(gram, 1.0).sum(axis=(1, 2)) == 5)
 
 
 def test_run_iteration_dead_atom_keeps_direction(rng):

@@ -129,7 +129,7 @@ def test_adaptive_synthetic_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     cfg = manifest["adaptive_config"]
     assert cfg["min_observations"] == 16
-    assert cfg["memory"] == 3  # round(log 16)
+    assert cfg["freeze_add_tail"] == 9  # 3 round(log 16)
 
 
 def test_replacement_events_csv(tmp_path):
