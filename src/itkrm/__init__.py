@@ -5,25 +5,21 @@ sparsity level and dictionary size."""
 from .adaptive import (AdaptiveConfig, ScoreHistory, add_atoms, prune_coherent,
                        prune_unused, run_adaptive, update_sparsity)
 from .approx import ApproxReport, approximation_power, omp
-from .candidates import (CandidateSet, ReplacementPolicy,
-                         candidate_signal_update, draw_candidates,
+from .candidates import (CandidateSet, ReplacementPolicy, draw_candidates,
                          replace_coherent, replace_unused)
 from .container import (read_dictionary, read_matrix, write_dictionary,
                         write_matrix)
 from .engine import (EngineConfig, FixedCorpus, FreshBatches, IterationOutput,
-                     Trajectory, oracle_residual, run_iteration, run_learning,
-                     signal_update, threshold_support)
+                     Trajectory, run_iteration, run_learning, threshold_support)
 from .experiments import ExperimentSpec, SpecError, run_experiment
 from .images import (PatchConfig, add_image_noise, extract_patches,
                      load_image_gray, psnr, save_image_pgm)
 from .linalg import (DiagnosticsReport, Dictionary, Support, asym_distance,
-                     coherence, cross_gram, dictionary_diagnostics,
-                     mean_atom_distance, operator_norm_sq, project_onto_span,
-                     recovery_rate)
+                     coherence, dictionary_diagnostics, mean_atom_distance,
+                     operator_norm_sq, project_onto_span, recovery_rate)
 from .signals import (BalancedCoefficients, CoefficientMixture,
                       GeometricCoefficients, SignalBatch, SignalModel,
-                      TwoSparseCoefficients, generate_batch,
-                      make_bad_initialization, make_dirac_hadamard,
+                      TwoSparseCoefficients, generate_batch, make_dirac_hadamard,
                       make_random_sphere, make_spurious_estimate,
                       noise_std_for_snr, perturbed_dictionary, rng_from_seed)
 

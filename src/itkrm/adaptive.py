@@ -82,19 +82,17 @@ class AdaptiveConfig:
     min_observations: Optional[int] = None      # M; default round(d log d)
     candidate_add_threshold: Optional[int] = None  # M_Gamma; default d
     freeze_add_tail: Optional[int] = None       # default 3m, m = round(log d)
-    candidate_count: Optional[int] = None       # L; default round(log d)
 
     def __post_init__(self):
         if not (0.0 < self.mu_max < 1.0):
             raise ValueError("mu_max must lie in (0, 1)")
         for name in ("min_observations", "candidate_add_threshold",
-                     "freeze_add_tail", "candidate_count"):
+                     "freeze_add_tail"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive")
 
     def resolve(self, d: int) -> "AdaptiveConfig":
-        m = default_candidate_count(d)
         return dc_replace(
             self,
             min_observations=self.min_observations
@@ -102,9 +100,7 @@ class AdaptiveConfig:
             candidate_add_threshold=self.candidate_add_threshold
             if self.candidate_add_threshold is not None else d,
             freeze_add_tail=self.freeze_add_tail
-            if self.freeze_add_tail is not None else 3 * m,
-            candidate_count=self.candidate_count
-            if self.candidate_count is not None else m,
+            if self.freeze_add_tail is not None else 3 * default_candidate_count(d),
         )
 
 
@@ -251,11 +247,10 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
             engine_cfg = EngineConfig(
                 sparsity=min(level, d, dico.K),
                 variant="adaptive",
-                candidate_count=cfg.candidate_count,
                 candidate_subbatches=m,
                 min_observations=cfg.min_observations,
             )
-            cands = draw_candidates(d, cfg.candidate_count, rng)
+            cands = draw_candidates(d, m, rng)
             out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng)
             dico = out.new_dictionary
             history.push(out.atom_scores)

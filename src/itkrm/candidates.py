@@ -2,13 +2,13 @@
 replacement.
 
 Candidates are a small side dictionary trained with 1-sparse updates on the
-residuals of the main iteration, renormalized every sub-batch.  Their value
-scores count residuals they matched above a noise-calibrated threshold.
+residuals of the main iteration (``engine.run_iteration``), renormalized
+every sub-batch.  Their value scores count residuals they matched above a
+noise-calibrated threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,13 +21,10 @@ ZERO_ACC_TOL = 1e-12
 
 @dataclass
 class CandidateSet:
-    """L candidate atoms with value scores and a running residual accumulator."""
+    """L candidate atoms with their value scores."""
 
     atoms: np.ndarray                      # (d, L) unit columns
     scores: np.ndarray = field(default=None)       # (L,) int64
-    accumulator: np.ndarray = field(default=None)  # (d, L) raw residual sums
-    subbatch_size: int = 0                 # N_gamma, set per batch by the engine
-    signals_seen: int = 0
 
     def __post_init__(self):
         self.atoms = np.asarray(self.atoms, dtype=np.float64)
@@ -37,8 +34,6 @@ class CandidateSet:
             self.scores = np.zeros(self.L, dtype=np.int64)
         else:
             self.scores = np.asarray(self.scores, dtype=np.int64)
-        if self.accumulator is None:
-            self.accumulator = np.zeros_like(self.atoms)
         norms = np.linalg.norm(self.atoms, axis=0)
         if self.L and np.any(np.abs(norms - 1.0) > 1e-8):
             raise ValueError("candidate atoms must be unit norm")
@@ -59,73 +54,26 @@ def draw_candidates(d: int, count: int, rng: np.random.Generator) -> CandidateSe
     return CandidateSet(atoms=atoms)
 
 
-def candidate_threshold(variant: str, *, dictionary_size: int | None = None,
-                        subbatch_size: int | None = None, d: int) -> float:
-    """Squared-score threshold tau for candidate value counting."""
-    if variant == "replacement":
-        if dictionary_size is None:
-            raise ValueError("replacement threshold needs the dictionary size")
-        return 2.0 * math.log(2.0 * dictionary_size) / d
-    if variant == "adaptive":
-        if not subbatch_size:
-            raise ValueError("adaptive threshold needs the sub-batch size")
-        return 2.0 * math.log(2.0 * subbatch_size / d) / d
-    raise ValueError(f"no candidate threshold for variant {variant!r}")
-
-
-def normalize_subbatch(cands: CandidateSet, rng: np.random.Generator | None,
-                       reset_scores: bool) -> None:
-    """Turn the accumulator into the new candidate atoms and reset it.
+def normalize_subbatch(cands: CandidateSet, accumulator: np.ndarray,
+                       rng: np.random.Generator | None, reset_scores: bool) -> None:
+    """Turn the (d, L) residual ``accumulator`` into the new candidate atoms
+    and reset it.
 
     Candidates whose accumulator never received a residual are redrawn from
     the sphere instead of dividing by zero.
     """
-    norms = np.linalg.norm(cands.accumulator, axis=0)
+    norms = np.linalg.norm(accumulator, axis=0)
     good = norms > ZERO_ACC_TOL
-    cands.atoms[:, good] = cands.accumulator[:, good] / norms[good]
+    cands.atoms[:, good] = accumulator[:, good] / norms[good]
     if np.any(~good):
         if rng is None:
             raise ValueError("redrawing unused candidates requires an rng")
         fresh = rng.standard_normal((cands.d, int((~good).sum())))
         fresh /= np.linalg.norm(fresh, axis=0)
         cands.atoms[:, ~good] = fresh
-    cands.accumulator[:] = 0.0
+    accumulator[:] = 0.0
     if reset_scores:
         cands.scores[:] = 0
-
-
-def candidate_signal_update(cands: CandidateSet, residual: np.ndarray, variant: str,
-                            *, dictionary_size: int | None = None,
-                            training_subbatches: int = 1,
-                            rng: np.random.Generator | None = None,
-                            zero_tol: float = 1e-12) -> CandidateSet:
-    """Process one residual: attribute it to the best-matching candidate.
-
-    The winning candidate's accumulator receives the signed residual and its
-    score increments when the match clears the variant's threshold.  A
-    (numerically) zero residual attributes nothing but still advances the
-    sub-batch stream, whose boundaries renormalize the accumulator for the
-    first ``training_subbatches`` sub-batches (the adaptive variant also
-    restarts the scores there, so the final scores cover the last window).
-    """
-    residual = np.asarray(residual, dtype=np.float64).ravel()
-    if residual.size != cands.d:
-        raise ValueError("residual length does not match candidate dimension")
-    res_norm = float(np.linalg.norm(residual))
-    if cands.L and res_norm > zero_tol:
-        ip = cands.atoms.T @ residual
-        winner = int(np.argmax(np.abs(ip)))
-        cands.accumulator[:, winner] += residual * float(sign_pm(ip[winner]))
-        tau = candidate_threshold(variant, dictionary_size=dictionary_size,
-                                  subbatch_size=cands.subbatch_size, d=cands.d)
-        if ip[winner] ** 2 >= tau * res_norm ** 2:
-            cands.scores[winner] += 1
-    cands.signals_seen += 1
-    n_gamma = cands.subbatch_size
-    if n_gamma and cands.signals_seen % n_gamma == 0 \
-            and cands.signals_seen < training_subbatches * n_gamma:
-        normalize_subbatch(cands, rng, reset_scores=(variant == "adaptive"))
-    return cands
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +173,7 @@ def replace_coherent(dico: Dictionary, scores: np.ndarray, cands: CandidateSet,
         v[kp] = c_scores[0] if mus[0] < policy.mu_max else 0
         c_atoms, c_scores = c_atoms[:, 1:], c_scores[1:]
         replaced += 1
-    out_cands = CandidateSet(atoms=c_atoms, scores=c_scores,
-                             subbatch_size=cands.subbatch_size,
-                             signals_seen=cands.signals_seen)
-    return Dictionary(atoms), v, out_cands, replaced
+    return Dictionary(atoms), v, CandidateSet(c_atoms, c_scores), replaced
 
 
 def replace_unused(dico: Dictionary, scores: np.ndarray, cands: CandidateSet,

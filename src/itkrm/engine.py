@@ -1,5 +1,4 @@
-"""Core learning engine: thresholding, residual means, per-signal updates and
-full iterations.
+"""Core learning engine: thresholding, residual means and full iterations.
 
 One iteration processes every signal of a batch: threshold to the sparsity
 level, project, and push each selected atom towards its signed residual plus
@@ -31,13 +30,11 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .candidates import (CandidateSet, ReplacementPolicy, candidate_threshold,
-                         draw_candidates, normalize_subbatch, replace_coherent,
-                         replace_unused)
+from .candidates import (CandidateSet, ReplacementPolicy, draw_candidates,
+                         normalize_subbatch, replace_coherent, replace_unused)
 from .linalg import (Dictionary, Support, asym_distance, cholesky_append,
-                     cholesky_back_substitute, mean_atom_distance,
-                     project_onto_span, recovery_rate, sign_pm,
-                     solve_normal_equations)
+                     cholesky_back_substitute, mean_atom_distance, recovery_rate,
+                     sign_pm, solve_normal_equations)
 from .signals import SignalBatch, SignalModel, generate_batch, rng_from_seed
 
 # Residuals below this fraction of the signal norm count as zero for
@@ -66,7 +63,6 @@ class EngineConfig:
 
     sparsity: int
     variant: str = "plain"
-    candidate_count: Optional[int] = None       # L, default round(log d)
     candidate_subbatches: Optional[int] = None  # m, default round(log d)
     min_observations: Optional[int] = None      # M, adaptive counter only
 
@@ -77,8 +73,6 @@ class EngineConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "adaptive" and not self.min_observations:
             raise ValueError("adaptive variant needs min_observations")
-        if self.candidate_count is not None and self.candidate_count < 0:
-            raise ValueError("candidate_count must be >= 0")
         if self.candidate_subbatches is not None and self.candidate_subbatches < 1:
             raise ValueError("candidate_subbatches must be >= 1")
 
@@ -143,65 +137,6 @@ def threshold_support(dico: Dictionary, y: np.ndarray, s: int) -> Support:
     return Support(idx[:, 0])
 
 
-@dataclass(frozen=True)
-class SignalContribution:
-    """Per-signal pieces of an iteration, aligned with ``selected.indices``."""
-
-    selected: Support
-    coeffs: np.ndarray           # pseudo-inverse coefficients on the support
-    residual: np.ndarray         # y minus its projection on the selected span
-    atom_increments: np.ndarray  # (s, d) update vector per selected atom
-    score_hits: np.ndarray       # (s,) bool, counter increments
-    sparsity_hits: int           # recoverable-sparsity count (adaptive)
-
-
-def signal_update(dico: Dictionary, y: np.ndarray, cfg: EngineConfig,
-                  batch_size: int) -> SignalContribution:
-    """Reference per-signal computation of one iteration's contribution."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    support = threshold_support(dico, y, cfg.sparsity)
-    sub = dico.atoms[:, support.indices]
-    ip = sub.T @ y
-    coeffs = solve_normal_equations(sub.T @ sub, ip)
-    approx = sub @ coeffs
-    residual = y - approx
-    signs = sign_pm(ip)
-    increments = residual[None, :] * signs[:, None] \
-        + np.abs(ip)[:, None] * sub.T
-    res_sq = float(residual @ residual)
-    app_sq = float(approx @ approx)
-    d = dico.d
-    if cfg.variant == "adaptive":
-        tau = (2.0 * math.log(2.0 * batch_size / cfg.min_observations) * res_sq
-               + app_sq) / d
-    else:
-        tau = 0.0
-    score_hits = coeffs ** 2 >= tau
-    sparsity_hits = 0
-    if cfg.variant == "adaptive":
-        theta = (2.0 * math.log(4.0 * dico.K) * res_sq + app_sq) / d
-        sparsity_hits = int(np.count_nonzero(coeffs ** 2 >= theta))
-        res_ip = dico.atoms.T @ residual
-        sparsity_hits += int(np.count_nonzero(res_ip ** 2 >= theta))
-    return SignalContribution(support, coeffs, residual, increments,
-                              score_hits, sparsity_hits)
-
-
-def oracle_residual(dico: Dictionary, y: np.ndarray, support: Support,
-                    signs: np.ndarray, k: int) -> np.ndarray:
-    """Residual-mean update for atom k using the generating support and sign."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    where = np.nonzero(support.indices == k)[0]
-    if where.size == 0:
-        raise ValueError(f"atom {k} is not in the generating support")
-    signs = np.asarray(signs, dtype=np.float64).ravel()
-    if signs.size != support.size:
-        raise ValueError("one sign per support index required")
-    proj, _ = project_onto_span(dico, support, y)
-    atom = dico.atoms[:, k]
-    return (y - proj + (atom @ y) * atom) * signs[where[0]]
-
-
 def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                   candidates: Optional[CandidateSet] = None,
                   rng: Optional[np.random.Generator] = None) -> IterationOutput:
@@ -223,19 +158,21 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
         raise ValueError("sparsity exceeds min(d, K)")
     m = cfg.candidate_subbatches or default_candidate_count(d)
     n_gamma = max(1, n // m)
+    adaptive = cfg.variant == "adaptive"
     if candidates is not None:
         if candidates.d != d:
             raise ValueError("candidate dimension does not match dictionary")
-        candidates.subbatch_size = n_gamma
         if candidates.L and rng is None:
             raise ValueError("candidate learning needs an rng for redraws")
-        tau_gamma = candidate_threshold(
-            cfg.variant if cfg.variant != "plain" else "replacement",
-            dictionary_size=k, subbatch_size=n_gamma, d=d)
+        cand_acc = np.zeros((d, candidates.L))   # signed residual sums
+        # squared-score threshold of the candidate value counter
+        if adaptive:
+            tau_gamma = 2.0 * math.log(2.0 * n_gamma / d) / d
+        else:
+            tau_gamma = 2.0 * math.log(2.0 * k) / d
 
     atoms = dico.atoms
     gram = atoms.T @ atoms
-    adaptive = cfg.variant == "adaptive"
     if adaptive:
         log_tau = 2.0 * math.log(2.0 * n / cfg.min_observations)
         log_theta = 2.0 * math.log(4.0 * k)
@@ -310,17 +247,14 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                 wvals = ipc[winners, cols]
                 weights = np.zeros((nc, candidates.L))
                 weights[cols[valid], winners[valid]] = sign_pm(wvals[valid])
-                candidates.accumulator += resid @ weights
+                cand_acc += resid @ weights
                 passed = valid & (wvals ** 2 >= tau_gamma * res_sq)
                 candidates.scores += np.bincount(winners[passed],
                                                  minlength=candidates.L)
-            if candidates is not None:
-                candidates.signals_seen += nc
 
         if candidates is not None and hi in boundaries:
             # sub-batch boundary: renormalize candidates for the next window
-            normalize_subbatch(candidates, rng,
-                               reset_scores=(cfg.variant == "adaptive"))
+            normalize_subbatch(candidates, cand_acc, rng, reset_scores=adaptive)
 
     raw = acc + atoms * colsum
     raw_norms = np.linalg.norm(raw, axis=0)
@@ -466,10 +400,7 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
         for t, batch in enumerate(batches, start=1):
             replaced = 0
             if cfg.variant == "replacement":
-                count = cfg.candidate_count
-                if count is None:
-                    count = default_candidate_count(dico.d)
-                cands = draw_candidates(dico.d, count, rng)
+                cands = draw_candidates(dico.d, default_candidate_count(dico.d), rng)
                 learned = cands if candidate_source == "learned" else None
                 out = run_iteration(dico, batch, cfg, candidates=learned, rng=rng)
                 dico = out.new_dictionary

@@ -26,7 +26,7 @@ from .candidates import ReplacementPolicy
 from .engine import (EngineConfig, FixedCorpus, FreshBatches, IterationRecord,
                      Trajectory, round_half_up, run_iteration, run_learning)
 from .images import PatchConfig, add_image_noise, extract_patches, load_image_gray
-from .linalg import Dictionary, asym_distance, recovery_rate
+from .linalg import Dictionary, asym_distance
 from .signals import (CoefficientMixture, GeometricCoefficients, SignalModel,
                       generate_batch, make_dirac_hadamard, make_random_sphere,
                       make_spurious_estimate, noise_std_for_snr,
@@ -39,11 +39,12 @@ SCENARIOS = {"replacement_compare": "learn", "plain_recovery": "learn",
 
 DICT_KINDS = ("random-sphere", "dirac-hadamard")
 
-# CSV header, one column per IterationRecord field in field order.
-TRAJECTORY_COLUMNS = ("iter", "distance", "mean_atom_distance", "recovery_rate",
-                      "K", "S_e", "S_bar", "replaced", "pruned", "added",
-                      "wallclock_ms", "S_bar_raw", "S_t", "merges",
-                      "pruned_unused")
+# CSV header, one column per IterationRecord field in field order; these
+# fields get the paper's symbol as column name, the others keep their own.
+_COLUMN_NAMES = {"iteration": "iter", "n_atoms": "K", "sparsity": "S_e",
+                 "s_bar": "S_bar", "s_bar_raw": "S_bar_raw", "s_t": "S_t"}
+TRAJECTORY_COLUMNS = tuple(_COLUMN_NAMES.get(f.name, f.name)
+                           for f in fields(IterationRecord))
 
 
 class SpecError(ValueError):
@@ -281,36 +282,29 @@ def run_trial(spec: ExperimentSpec, trial: int):
     trajectories: List[Tuple[str, Trajectory]] = []
     rows: List[list] = []
 
+    def learn(label: str) -> Trajectory:
+        """Plain learning for "plain"/"none", else candidate replacement
+        from the learned ("candidate") or random ("random") pool."""
+        replacing = label in ("candidate", "random")
+        cfg = EngineConfig(sparsity=spec.sparsity,
+                           variant="replacement" if replacing else "plain")
+        return run_learning(
+            init, model_seed_source, cfg, spec.iterations, reference=generating,
+            policy=ReplacementPolicy(mu_max=spec.mu_max, combine=spec.combine),
+            candidate_source="random" if label == "random" else "learned",
+            recovery_threshold=spec.recovery_threshold,
+            stop_at_full_recovery=replacing and spec.stop_at_full_recovery,
+            seed=derive_seed(spec.seed, 0xE, trial))
+
     if spec.scenario in ("plain_recovery", "fixedpoint_probe"):
-        cfg = EngineConfig(sparsity=spec.sparsity, variant="plain")
-        traj = run_learning(init, model_seed_source, cfg, spec.iterations,
-                            reference=generating,
-                            recovery_threshold=spec.recovery_threshold,
-                            seed=derive_seed(spec.seed, 0xE, trial))
+        traj = learn("plain")
         trajectories.append(("plain", traj))
         if traj.final_record is not None:
             recovered = int(round(traj.final_record.recovery_rate * generating.K))
             rows.append([trial, recovered, generating.K])
 
     elif spec.scenario == "replacement_compare":
-        policy = ReplacementPolicy(mu_max=spec.mu_max, combine=spec.combine)
-        for label in spec.compare:
-            if label == "none":
-                cfg = EngineConfig(sparsity=spec.sparsity, variant="plain")
-                traj = run_learning(init, model_seed_source, cfg, spec.iterations,
-                                    reference=generating,
-                                    recovery_threshold=spec.recovery_threshold,
-                                    seed=derive_seed(spec.seed, 0xE, trial))
-            else:
-                cfg = EngineConfig(sparsity=spec.sparsity, variant="replacement")
-                traj = run_learning(
-                    init, model_seed_source, cfg, spec.iterations,
-                    reference=generating, policy=policy,
-                    candidate_source="learned" if label == "candidate" else "random",
-                    recovery_threshold=spec.recovery_threshold,
-                    stop_at_full_recovery=spec.stop_at_full_recovery,
-                    seed=derive_seed(spec.seed, 0xE, trial))
-            trajectories.append((label, traj))
+        trajectories += [(label, learn(label)) for label in spec.compare]
 
     elif spec.scenario == "adaptive_synthetic":
         traj = run_adaptive(init, model_seed_source,

@@ -163,16 +163,11 @@ def coherence(dico: Dictionary) -> float:
     return float(g.max())
 
 
-def cross_gram(a: Dictionary, b: Dictionary) -> np.ndarray:
-    """Matrix of inner products <a_k, b_l>, shape (K_a, K_b)."""
-    if a.d != b.d:
-        raise ValueError(f"ambient dimensions differ: {a.d} vs {b.d}")
-    return a.atoms.T @ b.atoms
-
-
 def _abs_cross(reference: Dictionary, estimate: Dictionary) -> np.ndarray:
-    c = np.abs(cross_gram(reference, estimate))
-    return np.minimum(c, 1.0)
+    """|<ref_k, est_l>| clipped to 1, shape (K_ref, K_est)."""
+    if reference.d != estimate.d:
+        raise ValueError(f"ambient dimensions differ: {reference.d} vs {estimate.d}")
+    return np.minimum(np.abs(reference.atoms.T @ estimate.atoms), 1.0)
 
 
 def asym_distance(reference: Dictionary, estimate: Dictionary):

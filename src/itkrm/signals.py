@@ -1,5 +1,4 @@
-"""Synthetic training-signal generation, special dictionaries and adversarial
-initializations.
+"""Synthetic training-signal generation and special dictionaries.
 
 Signals follow the generative model ``y = (Phi x + r) / sqrt(1 + ||r||^2)``
 where ``x`` places a drawn, non-increasing, l2-normalized coefficient
@@ -17,9 +16,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .linalg import Dictionary
-
-# Sign draws tried by _balanced_perturbation before it gives up.
-PERTURBATION_DRAWS = 100
 
 # Signals per row block of generate_batch: uniform position keys are drawn,
 # and coefficient rows normalized, this many rows at a time.
@@ -351,55 +347,6 @@ def make_spurious_estimate(generating: Dictionary, triples) -> Dictionary:
         atoms[:, partner_idx] = phi_d
         atoms[:, lost_idx] = combo / np.linalg.norm(combo)
     return Dictionary(atoms)
-
-
-def _balanced_perturbation(generating: Dictionary, j: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Unit vector orthogonal to atom j, built from a signed sum of the others.
-
-    A degenerate draw (the signed sum lies along atom j) is retried with
-    fresh signs, at most PERTURBATION_DRAWS times.
-    """
-    atoms = generating.atoms
-    phi = atoms[:, j]
-    for _ in range(PERTURBATION_DRAWS):
-        signs = np.where(rng.random(generating.K) < 0.5, -1.0, 1.0)
-        signs[j] = 0.0
-        z = atoms @ signs
-        z = z - (phi @ z) * phi
-        norm = np.linalg.norm(z)
-        if norm >= 1e-12:
-            return z / norm
-    raise ValueError(f"no signed sum of the other atoms leaves the span of "
-                     f"atom {j} in {PERTURBATION_DRAWS} draws")
-
-
-def make_bad_initialization(generating: Dictionary, alpha: float, pair_count: int,
-                            rng: np.random.Generator) -> Dictionary:
-    """Incoherent initialization in which atom pairs point to shared atoms.
-
-    The first ``pair_count`` generating atoms each receive two estimators
-    ``alpha * phi_j +- omega * z_j`` (omega = sqrt(1 - alpha^2), z_j a
-    normalized balanced signed sum of the other atoms, orthogonal to phi_j);
-    the remaining slots are single estimators perturbed at the same alpha.
-    Generating atoms pair_count..2*pair_count-1 end up with no estimator.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    k = generating.K
-    if 2 * pair_count > k:
-        raise ValueError("2 * pair_count exceeds the dictionary size")
-    omega = math.sqrt(max(1.0 - alpha * alpha, 0.0))
-    atoms = np.empty_like(generating.atoms)
-    for j in range(pair_count):
-        z = _balanced_perturbation(generating, j, rng)
-        phi = generating.atoms[:, j]
-        atoms[:, 2 * j] = alpha * phi + omega * z
-        atoms[:, 2 * j + 1] = alpha * phi - omega * z
-    for slot in range(2 * pair_count, k):
-        z = _balanced_perturbation(generating, slot, rng)
-        atoms[:, slot] = alpha * generating.atoms[:, slot] + omega * z
-    return Dictionary.from_columns(atoms, normalize=True)
 
 
 def perturbed_dictionary(generating: Dictionary, eps: float,

@@ -3,95 +3,109 @@ import math
 import numpy as np
 import pytest
 
-from itkrm.candidates import (CandidateSet, ReplacementPolicy,
-                              candidate_signal_update, candidate_threshold,
-                              draw_candidates, replace_coherent, replace_unused)
+from itkrm.candidates import (CandidateSet, ReplacementPolicy, draw_candidates,
+                              replace_coherent, replace_unused)
+from itkrm.engine import EngineConfig, run_iteration
 from itkrm.linalg import Dictionary, coherence
-from itkrm.signals import rng_from_seed
+from itkrm.signals import SignalBatch, rng_from_seed
+
+from conftest import random_dictionary
+from per_signal_reference import candidate_threshold
 
 
-def _cands(atoms, scores=None, n_gamma=0):
+def _cands(atoms, scores=None):
     atoms = np.asarray(atoms, dtype=float)
-    return CandidateSet(atoms=atoms, scores=scores, subbatch_size=n_gamma)
+    return CandidateSet(atoms=atoms, scores=scores)
 
 
-# --- candidate updates -------------------------------------------------------
+def _learn(atoms, signals, cands, *, sparsity=1, variant="replacement", m=1):
+    """Candidate state after one iteration of the dictionary ``atoms`` over
+    ``signals`` with m candidate sub-batches; redraws come from seed 2."""
+    cfg = EngineConfig(sparsity=sparsity, variant=variant, min_observations=4,
+                       candidate_subbatches=m)
+    out = run_iteration(Dictionary(atoms), SignalBatch(signals=signals), cfg,
+                        candidates=cands, rng=rng_from_seed(2))
+    return out.candidate_state
+
+
+def _sphere_draw(d, count):
+    fresh = rng_from_seed(2).standard_normal((d, count))
+    return fresh / np.linalg.norm(fresh, axis=0)
+
+
+# --- candidate updates (inside run_iteration) -----------------------------------
 
 def test_zero_residual_is_noop_but_advances(rng):
+    # signals on their selected atoms leave zero residuals: nothing is
+    # attributed, yet the sub-batch boundary comes and redraws every
+    # candidate, since none received a residual
+    atoms = np.eye(6)[:, :4]
+    signals = atoms[:, [0, 2]] @ rng.standard_normal((2, 10))
     cands = draw_candidates(6, 3, rng)
     before = cands.atoms.copy()
-    candidate_signal_update(cands, np.zeros(6), "replacement",
-                            dictionary_size=10, training_subbatches=2)
-    assert np.array_equal(cands.atoms, before)
-    assert np.all(cands.accumulator == 0)
-    assert np.all(cands.scores == 0)
-    assert cands.signals_seen == 1
+    got = _learn(atoms, signals, cands, sparsity=2)
+    assert np.array_equal(got.atoms, before)
+    assert np.all(got.scores == 0)
+    got = _learn(atoms, signals, _cands(before), sparsity=2, m=2)
+    assert np.array_equal(got.atoms, _sphere_draw(6, 3))
+    assert np.all(got.scores == 0)
 
 
 def test_winner_accumulates_signed_residual(rng):
-    atoms = np.eye(4)[:, :2]
-    cands = _cands(atoms, n_gamma=100)
+    atoms = np.eye(4)[:, 2:]
     a = np.array([-0.7, 0.1, 0.0, 0.0])
-    candidate_signal_update(cands, a, "replacement", dictionary_size=8,
-                            training_subbatches=2)
-    # winner is candidate 0 (|ip| = 0.7); accumulates a * sign(ip) = -a
-    assert np.allclose(cands.accumulator[:, 0], -a)
-    assert np.all(cands.accumulator[:, 1] == 0)
+    # the first signal leaves residual a, the second none; the boundary
+    # after the first turns the accumulators into the candidates
+    signals = np.column_stack([atoms[:, 0] + a, atoms[:, 1]])
+    got = _learn(atoms, signals, _cands(np.eye(4)[:, :2]), m=2)
+    # winner is candidate 0 (|ip| = 0.7); it accumulated a * sign(ip) = -a
+    assert np.allclose(got.atoms[:, 0], -a / np.linalg.norm(a))
+    # candidate 1 accumulated nothing and was redrawn
+    assert np.array_equal(got.atoms[:, 1], _sphere_draw(4, 1)[:, 0])
 
 
 def test_strong_match_scores_weak_match_does_not(rng):
-    d, k = 16, 24
-    phi = np.zeros(d)
-    phi[0] = 1.0
-    psi = np.zeros(d)
-    psi[1] = 1.0
-    combo = (phi - psi) / math.sqrt(2)
-    cands = _cands(combo.reshape(-1, 1), n_gamma=100)
-    # residual exactly along the 1:1 complement: |ip|/||a|| = 1 >= tau
-    residual = 0.4 * combo
-    candidate_signal_update(cands, residual, "replacement", dictionary_size=k,
-                            training_subbatches=2)
-    assert cands.scores[0] == 1
+    d = 16
+    atoms = np.eye(d)[:, 4:]            # K = 12 atoms
+    combo = (np.eye(d)[:, 0] - np.eye(d)[:, 1]) / math.sqrt(2)
+    # residual exactly along the candidate: |ip|/||a|| = 1 >= tau
+    strong = (atoms[:, 0] + 0.4 * combo)[:, None]
+    got = _learn(atoms, strong, _cands(combo.reshape(-1, 1)))
+    assert got.scores[0] == 1
     # orthogonal residual: winner by default but no score
-    ortho = np.zeros(d)
-    ortho[2] = 0.3
-    candidate_signal_update(cands, ortho, "replacement", dictionary_size=k,
-                            training_subbatches=2)
-    assert cands.scores[0] == 1
+    weak = (atoms[:, 1] + 0.3 * np.eye(d)[:, 2])[:, None]
+    got = _learn(atoms, weak, _cands(combo.reshape(-1, 1)))
+    assert got.scores[0] == 0
 
 
 def test_pure_noise_score_rate_bounded():
     # noise residuals score each candidate at most ~ N/K times
     d, k, l, n = 32, 48, 4, 6000
     rng = rng_from_seed(5)
+    dico = random_dictionary(d, k, rng)
     cands = draw_candidates(d, l, rng)
-    cands.subbatch_size = n + 1
     noise = rng.standard_normal((d, n))
-    for i in range(n):
-        candidate_signal_update(cands, noise[:, i], "replacement",
-                                dictionary_size=k, training_subbatches=1)
+    got = _learn(dico.atoms, noise, cands)
     bound = n / k + 3 * math.sqrt(n / k)
-    assert np.all(cands.scores <= bound)
+    assert np.all(got.scores <= bound)
 
 
 def test_subbatch_normalization_and_adaptive_score_reset(rng):
     d = 8
-    cands = draw_candidates(d, 2, rng)
-    cands.subbatch_size = 3
-    target = np.zeros(d)
-    target[3] = 1.0
-    for i in range(6):
-        candidate_signal_update(cands, 0.5 * target, "adaptive",
-                                training_subbatches=2, rng=rng)
+    atoms = np.eye(d)[:, :3]
+    target = np.eye(d)[:, 3]
+    signals = np.tile((atoms[:, 0] + 0.5 * target)[:, None], (1, 6))
+    got = _learn(atoms, signals, draw_candidates(d, 2, rng), variant="adaptive",
+                 m=2)
     # first boundary (after 3 signals) normalized the accumulator into atoms
-    winner = np.argmax(np.abs(cands.atoms.T @ target))
-    assert abs(cands.atoms[:, winner] @ target) == pytest.approx(1.0, abs=1e-12)
+    winner = np.argmax(np.abs(got.atoms.T @ target))
+    assert abs(got.atoms[:, winner] @ target) == pytest.approx(1.0, abs=1e-12)
     # adaptive variant reset scores at the boundary; only 3 counted since
-    assert cands.scores[winner] == 3
-    assert cands.signals_seen == 6
+    assert got.scores[winner] == 3
 
 
 def test_candidate_threshold_values():
+    # the per-signal reference's thresholds, which run_iteration computes inline
     assert candidate_threshold("replacement", dictionary_size=48, d=32) == \
         pytest.approx(2 * math.log(96) / 32)
     assert candidate_threshold("adaptive", subbatch_size=4000, d=64) == \

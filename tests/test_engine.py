@@ -11,12 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from itkrm import engine
 from itkrm.adaptive import AdaptiveConfig, run_adaptive
-from itkrm.candidates import (ReplacementPolicy, candidate_signal_update,
-                              draw_candidates)
+from itkrm.candidates import ReplacementPolicy, draw_candidates
 from itkrm.engine import (EngineConfig, FixedCorpus, FreshBatches,
-                          oracle_residual, round_half_up, run_iteration,
-                          run_learning, signal_update, threshold_support,
-                          top_s_indices)
+                          round_half_up, run_iteration, run_learning,
+                          threshold_support, top_s_indices)
 from itkrm.linalg import Dictionary, Support, asym_distance
 from itkrm.signals import (BalancedCoefficients, GeometricCoefficients,
                            SignalBatch, SignalModel, TwoSparseCoefficients,
@@ -25,6 +23,8 @@ from itkrm.signals import (BalancedCoefficients, GeometricCoefficients,
                            rng_from_seed)
 
 from conftest import random_dictionary
+from per_signal_reference import (StreamCandidates, candidate_signal_update,
+                                  oracle_residual, signal_update)
 
 
 def test_round_half_up():
@@ -125,7 +125,7 @@ def test_top_s_indices_matches_stable_sort_oracle(case):
     assert np.array_equal(a, before)       # the input is not modified
 
 
-# --- per-signal update -----------------------------------------------------
+# --- per-signal reference ---------------------------------------------------
 
 def _cfg(s, variant="plain", m_obs=None):
     return EngineConfig(sparsity=s, variant=variant, min_observations=m_obs)
@@ -230,7 +230,7 @@ def _reference_inputs(rng, case):
 def test_run_iteration_matches_per_signal_reference(rng, variant, case):
     est, batch = _reference_inputs(rng, case)
     cfg = EngineConfig(sparsity=3, variant=variant, min_observations=10,
-                       candidate_subbatches=3, candidate_count=2)
+                       candidate_subbatches=3)
     cands = draw_candidates(12, 2, rng_from_seed(1)) if variant != "plain" else None
     out = run_iteration(est, batch, cfg, candidates=cands,
                         rng=rng_from_seed(2) if cands else None)
@@ -240,9 +240,10 @@ def test_run_iteration_matches_per_signal_reference(rng, variant, case):
     raw = np.zeros((12, k))
     scores = np.zeros(k, dtype=np.int64)
     sbar = 0
-    cands2 = draw_candidates(12, 2, rng_from_seed(1)) if variant != "plain" else None
-    if cands2 is not None:
-        cands2.subbatch_size = max(1, batch.n // 3)
+    cands2 = None
+    if variant != "plain":
+        cands2 = StreamCandidates(draw_candidates(12, 2, rng_from_seed(1)).atoms,
+                                  subbatch_size=max(1, batch.n // 3))
     redraw_rng = rng_from_seed(2)
     for n in range(batch.n):
         y = batch.signals[:, n]
@@ -345,6 +346,46 @@ def test_run_iteration_sign_invariance(rng):
     assert np.array_equal(a.atom_scores, b.atom_scores)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(4, 12),
+       extra=st.integers(0, 8), s=st.integers(1, 3), n=st.integers(1, 160),
+       variant=st.sampled_from(["plain", "replacement", "adaptive"]),
+       with_candidates=st.booleans())
+def test_run_iteration_equivariant_under_permutation_and_sign_flips(
+        seed, d, extra, s, n, variant, with_candidates):
+    # permuting and flipping the input atoms permutes and flips the output
+    # atoms and permutes their scores; the residuals, and so the candidates
+    # and the sparsity count, stay the same
+    rng = rng_from_seed(seed)
+    k = d + extra
+    est = random_dictionary(d, k, rng)
+    batch = SignalBatch(signals=rng.standard_normal((d, n)))
+    perm = rng.permutation(k)
+    flips = np.where(rng.random(k) < 0.5, -1.0, 1.0)
+    moved = Dictionary(est.atoms[:, perm] * flips)
+    cfg = EngineConfig(sparsity=s, variant=variant, min_observations=10,
+                       candidate_subbatches=3)
+
+    def iterate(dico):
+        cands = draw_candidates(d, 2, rng_from_seed(seed, 1)) if with_candidates else None
+        return run_iteration(dico, batch, cfg, candidates=cands,
+                             rng=rng_from_seed(seed, 2))
+
+    a, b = iterate(est), iterate(moved)
+    assert np.allclose(b.new_dictionary.atoms, a.new_dictionary.atoms[:, perm] * flips,
+                       rtol=0, atol=1e-9)
+    assert np.allclose(b.raw_norms, a.raw_norms[perm], rtol=0, atol=1e-9)
+    assert np.array_equal(b.atom_scores, a.atom_scores[perm])
+    assert b.sparsity_accumulator == a.sparsity_accumulator
+    live = a.raw_norms >= engine.DEAD_ATOM_FLOOR
+    assert np.allclose(np.linalg.norm(a.new_dictionary.atoms[:, live], axis=0), 1.0,
+                       rtol=0, atol=1e-12)
+    if with_candidates:
+        assert np.allclose(b.candidate_state.atoms, a.candidate_state.atoms,
+                           rtol=0, atol=1e-9)
+        assert np.array_equal(b.candidate_state.scores, a.candidate_state.scores)
+
+
 # --- oracle residual ---------------------------------------------------------
 
 def test_oracle_residual_noiseless_identity(rng):
@@ -361,17 +402,21 @@ def test_oracle_residual_noiseless_identity(rng):
 
 def test_oracle_residual_matches_thresholding_path(rng):
     # when thresholding recovers the generating support and signs, the oracle
-    # residual equals the thresholding update direction
+    # residual equals the thresholding update direction of run_iteration
     dico = make_dirac_hadamard(16, 24)
     model = SignalModel(dictionary=dico, coeffs=TwoSparseCoefficients(), seed=9)
     batch = generate_batch(model, 40)
+    checked = 0
     for n in range(batch.n):
         y = batch.signals[:, n]
-        contrib = signal_update(dico, y, _cfg(2), batch_size=40)
+        out = run_iteration(dico, SignalBatch(signals=y[:, None]), _cfg(2))
+        selected = top_s_indices(dico.atoms.T @ y[:, None], 2)[:, 0]
         truth_sup = np.sort(batch.truth.support[n, :2])
-        if not np.array_equal(contrib.selected.indices, truth_sup):
+        if not np.array_equal(selected, truth_sup):
             continue
-        for row, k in enumerate(contrib.selected.indices):
+        # one signal: the raw update of a selected atom is its increment
+        increments = out.raw_norms * out.new_dictionary.atoms
+        for k in selected:
             where = np.nonzero(batch.truth.support[n] == k)[0][0]
             sigma = float(batch.truth.signs[n, where])
             sup = Support(batch.truth.support[n, :2])
@@ -380,7 +425,9 @@ def test_oracle_residual_matches_thresholding_path(rng):
                                      int(k))
             ip_sign = 1.0 if dico.atoms[:, k] @ y >= 0 else -1.0
             if ip_sign == sigma:
-                assert np.allclose(oracle, contrib.atom_increments[row], atol=1e-9)
+                assert np.allclose(oracle, increments[:, k], atol=1e-9)
+                checked += 1
+    assert checked > 0
 
 
 def test_oracle_residual_mean_aligns_with_atom(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from itkrm.linalg import (Dictionary, Support, asym_distance, atom_distances,
-                          coherence, cross_gram, dictionary_diagnostics,
+                          coherence, dictionary_diagnostics,
                           mean_atom_distance, operator_norm_sq,
                           project_onto_span, recovery_rate)
 from itkrm.signals import (make_dirac_hadamard, make_spurious_estimate,
@@ -51,32 +51,37 @@ def test_coherence_single_atom_raises():
         coherence(Dictionary(np.eye(3)[:, :1]))
 
 
-# --- cross-Gram ------------------------------------------------------------
+# --- cross-Gram (as the distances see it) ----------------------------------
 
 def test_cross_gram_self_has_unit_diagonal(rng):
     dico = random_dictionary(6, 9, rng)
-    assert np.allclose(np.diag(cross_gram(dico, dico)), 1.0)
+    assert np.allclose(atom_distances(dico, dico), 0.0, atol=1e-7)
+    _, matching = asym_distance(dico, dico)
+    assert np.array_equal(matching, np.arange(dico.K))
 
 
 def test_cross_gram_sign_flip_negates(rng):
     dico = random_dictionary(5, 7, rng)
     flipped = Dictionary(-dico.atoms)
-    assert np.allclose(cross_gram(dico, flipped), -dico.gram())
+    assert np.array_equal(atom_distances(dico, flipped), atom_distances(dico, dico))
+    assert asym_distance(dico, flipped)[0] == asym_distance(dico, dico)[0]
 
 
 def test_cross_gram_matches_double_loop_oracle(rng):
     a = random_dictionary(4, 5, rng)
     b = random_dictionary(4, 6, rng)
-    got = cross_gram(a, b)
+    got = atom_distances(a, b)
     for k in range(a.K):
-        for l in range(b.K):
-            expected = sum(a.atoms[i, k] * b.atoms[i, l] for i in range(4))
-            assert abs(got[k, l] - expected) < 1e-12
+        ips = [abs(sum(a.atoms[i, k] * b.atoms[i, l] for i in range(4)))
+               for l in range(b.K)]
+        assert abs(got[k] - math.sqrt(2.0 - 2.0 * max(ips))) < 1e-12
 
 
 def test_cross_gram_dimension_mismatch():
-    with pytest.raises(ValueError):
-        cross_gram(Dictionary(np.eye(3)), Dictionary(np.eye(4)))
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        asym_distance(Dictionary(np.eye(3)), Dictionary(np.eye(4)))
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        atom_distances(Dictionary(np.eye(3)), Dictionary(np.eye(4)))
 
 
 # --- distances -------------------------------------------------------------

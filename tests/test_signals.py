@@ -8,9 +8,9 @@ from itkrm.signals import (KEY_ROWS, BalancedCoefficients, CoefficientMixture,
                            GeometricCoefficients, SignalModel,
                            TwoSparseCoefficients, _draw_coefficient_rows,
                            _model_sparsity, generate_batch, hadamard_matrix,
-                           make_bad_initialization, make_dirac_hadamard,
-                           make_random_sphere, make_spurious_estimate,
-                           noise_std_for_snr, rng_from_seed)
+                           make_dirac_hadamard, make_random_sphere,
+                           make_spurious_estimate, noise_std_for_snr,
+                           rng_from_seed)
 
 from conftest import random_dictionary
 
@@ -321,55 +321,3 @@ def test_spurious_estimate_rejects_overlap():
     dico = Dictionary(np.eye(9))
     with pytest.raises(ValueError):
         make_spurious_estimate(dico, [(0, 2, 1), (2, 4, 5)])
-
-
-def test_bad_initialization_alpha_one_keeps_paired_atoms(rng):
-    dico = random_dictionary(16, 16, rng)
-    est = make_bad_initialization(dico, 1.0, 3, rng)
-    for j in range(3):
-        assert np.allclose(est.atoms[:, 2 * j], dico.atoms[:, j], atol=1e-10)
-        assert np.allclose(est.atoms[:, 2 * j + 1], dico.atoms[:, j], atol=1e-10)
-
-
-def test_bad_initialization_pair_incoherence_at_sqrt_half():
-    rng = rng_from_seed(21)
-    dico = Dictionary(np.eye(32))
-    est = make_bad_initialization(dico, 1 / math.sqrt(2), 8, rng)
-    for j in range(8):
-        ip = abs(est.atoms[:, 2 * j] @ est.atoms[:, 2 * j + 1])
-        assert ip <= 0.1
-
-
-def test_bad_initialization_pair_distance(rng):
-    alpha = 0.8
-    dico = random_dictionary(24, 24, rng)
-    est = make_bad_initialization(dico, alpha, 4, rng)
-    for j in range(4):
-        for slot in (2 * j, 2 * j + 1):
-            ip = abs(est.atoms[:, slot] @ dico.atoms[:, j])
-            assert math.sqrt(2 - 2 * ip) == pytest.approx(
-                math.sqrt(2 - 2 * alpha), abs=1e-9)
-
-
-def test_bad_initialization_duplicate_atoms_raise(rng):
-    # every signed sum of the other atom lies along atom 0, so each redraw is
-    # degenerate; the redraws stop with a ValueError
-    atom = rng.standard_normal(4)
-    atom /= np.linalg.norm(atom)
-    dico = Dictionary(np.column_stack([atom, atom]))
-    with pytest.raises(ValueError, match="draws"):
-        make_bad_initialization(dico, 0.9, 1, rng)
-
-
-def test_bad_initialization_rejects_too_many_pairs(rng):
-    dico = random_dictionary(8, 8, rng)
-    with pytest.raises(ValueError):
-        make_bad_initialization(dico, 0.9, 5, rng)
-
-
-def test_bad_initialization_coherence_scale():
-    # at alpha = 1/sqrt(2) on the 32x48 Dirac-Hadamard setup the ensemble
-    # coherence lands around 0.5-0.65 (the reported instance was 0.52)
-    dico = make_dirac_hadamard(32, 48)
-    est = make_bad_initialization(dico, 1 / math.sqrt(2), 12, rng_from_seed(2))
-    assert 0.4 <= coherence(est) <= 0.75
