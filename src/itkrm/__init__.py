@@ -2,7 +2,7 @@
 with candidate-based atom replacement and adaptive selection of the
 sparsity level and dictionary size."""
 
-from .adaptive import (AdaptiveConfig, ScoreHistory, add_atoms, prune_coherent,
+from .adaptive import (AdaptiveConfig, add_atoms, prune_coherent,
                        prune_unused, run_adaptive, update_sparsity)
 from .approx import ApproxReport, approximation_power, omp
 from .candidates import (CandidateSet, ReplacementPolicy, draw_candidates,

@@ -2,7 +2,7 @@
 
 Each iteration of the adaptive learner runs the engine (adaptive counters),
 then prunes coherent atom pairs by merging, prunes atoms that have not been
-reliably observed over the score memory, appends promising candidates, and
+reliably observed within the score window, appends promising candidates, and
 moves the working sparsity level one step towards the batch estimate.
 """
 
@@ -22,55 +22,6 @@ from .engine import (EngineConfig, IterationRecord, Trajectory,
                      run_iteration)
 from .linalg import Dictionary, sign_pm
 from .signals import rng_from_seed
-
-
-@dataclass
-class ScoreHistory:
-    """Rolling window of the last m per-atom scores plus atom birthdays.
-
-    Column 0 holds the most recent iteration's scores; rows track atoms and
-    are kept aligned with the dictionary through merges, deletions and adds.
-    """
-
-    scores: np.ndarray          # (K, m) int64
-    birth: np.ndarray           # (K,) iteration at which the atom appeared
-    filled: int = 0             # iterations pushed so far, capped at m
-
-    @classmethod
-    def empty(cls, n_atoms: int, memory: int) -> "ScoreHistory":
-        return cls(scores=np.zeros((n_atoms, memory), dtype=np.int64),
-                   birth=np.zeros(n_atoms, dtype=np.int64))
-
-    @property
-    def memory(self) -> int:
-        return self.scores.shape[1]
-
-    def push(self, new_scores: np.ndarray) -> None:
-        new_scores = np.asarray(new_scores, dtype=np.int64)
-        if new_scores.shape != (self.scores.shape[0],):
-            raise ValueError("need one score per atom")
-        self.scores[:, 1:] = self.scores[:, :-1]
-        self.scores[:, 0] = new_scores
-        self.filled = min(self.filled + 1, self.memory)
-
-    def max_scores(self) -> np.ndarray:
-        return self.scores.max(axis=1)
-
-    def copy(self) -> "ScoreHistory":
-        return ScoreHistory(scores=self.scores.copy(), birth=self.birth.copy(),
-                            filled=self.filled)
-
-    def delete(self, indices) -> None:
-        keep = np.ones(self.scores.shape[0], dtype=bool)
-        keep[np.asarray(indices, dtype=np.int64)] = False
-        self.scores = self.scores[keep]
-        self.birth = self.birth[keep]
-
-    def append(self, count: int, initial_score: int, iteration: int) -> None:
-        block = np.full((count, self.memory), initial_score, dtype=np.int64)
-        self.scores = np.vstack([self.scores, block])
-        self.birth = np.concatenate(
-            [self.birth, np.full(count, iteration, dtype=np.int64)])
 
 
 @dataclass(frozen=True)
@@ -111,21 +62,22 @@ def update_sparsity(level: int, s_bar: float, *, max_level: int) -> int:
     return min(max(level + step, 1), max(1, max_level))
 
 
-def prune_coherent(dico: Dictionary, history: ScoreHistory, mu_max: float):
+def prune_coherent(dico: Dictionary, window: np.ndarray, mu_max: float):
     """Merge atom pairs above mu_max, weighting by the most recent scores.
 
+    ``window`` is the (K, m) int64 score window, newest scores in column 0.
     Works on a hollowed absolute Gram matrix; after a merge both rows and
     columns are zeroed so every atom participates in at most one merge per
     call.  The keeper (lower index) inherits the summed most-recent score;
-    the other atom and its history row are deleted.
+    the other atom and its window row are deleted.
 
-    Returns (dictionary, history, merge_count).
+    Returns (dictionary, window, merge_count).
     """
     atoms = dico.atoms.copy()
-    hist = history.copy()
+    window = window.copy()
     k = atoms.shape[1]
     if k < 2:
-        return dico, hist, 0
+        return dico, window, 0
     gram = atoms.T @ atoms
     hollow = np.abs(gram)
     np.fill_diagonal(hollow, 0.0)
@@ -138,73 +90,64 @@ def prune_coherent(dico: Dictionary, history: ScoreHistory, mu_max: float):
         a, b = (i, j) if i < j else (j, i)
         h = float(sign_pm(gram[a, b]))
         atoms[:, a] = combine_atoms("merge", atoms[:, a], atoms[:, b],
-                                    float(hist.scores[a, 0]),
-                                    float(hist.scores[b, 0]), h)
-        hist.scores[a, 0] += hist.scores[b, 0]
+                                    float(window[a, 0]), float(window[b, 0]), h)
+        window[a, 0] += window[b, 0]
         to_delete.append(b)
         hollow[[a, b], :] = 0.0
         hollow[:, [a, b]] = 0.0
     if not to_delete:
-        return dico, hist, 0
+        return dico, window, 0
     keep = np.ones(k, dtype=bool)
     keep[to_delete] = False
-    hist.delete(to_delete)
-    return Dictionary(atoms[:, keep]), hist, len(to_delete)
+    return Dictionary(atoms[:, keep]), window[keep], len(to_delete)
 
 
-def prune_unused(dico: Dictionary, history: ScoreHistory, min_observations: int,
-                 max_pruned: int, *, iteration: int, ambient_dim: int):
-    """Delete atoms whose last-m max score stayed below the threshold.
+def prune_unused(dico: Dictionary, window: np.ndarray, min_observations: int,
+                 max_pruned: int):
+    """Delete atoms whose maximum over the (K, m) score window stayed below
+    ``min_observations``.
 
-    Freshly added atoms are embargoed for ``memory`` iterations; at most
-    ``max_pruned`` atoms go per call (the ones with the smallest max
-    scores), at most half the dictionary when it is very undercomplete
-    (K < d/10), and never the whole dictionary.  Inert until the score
-    window is full.
+    At most ``max_pruned`` atoms go per call (the ones with the smallest
+    window maxima), at most half the dictionary when it is very
+    undercomplete (K < d/10), and never the whole dictionary.  An atom that
+    :func:`add_atoms` gave a window of ``min_observations`` keeps a maximum
+    of at least that until m real scores have replaced it: that is its
+    grace period.
 
-    Returns (dictionary, history, pruned_count).
+    Returns (dictionary, window, pruned_count).
     """
     k = dico.K
-    if history.filled < history.memory:
-        return dico, history, 0
-    v_hat = history.max_scores()
-    age = iteration - history.birth
-    eligible = np.nonzero((v_hat < min_observations) & (age >= history.memory))[0]
-    if eligible.size == 0:
-        return dico, history, 0
+    v_hat = window.max(axis=1)
+    eligible = np.flatnonzero(v_hat < min_observations)
     cap = max_pruned
-    if k < ambient_dim / 10:
+    if k < dico.d / 10:
         cap = min(cap, k // 2)
     cap = min(cap, k - 1)
     if eligible.size > cap:
         order = np.argsort(v_hat[eligible], kind="stable")
         eligible = eligible[order[:cap]]
     if eligible.size == 0:
-        return dico, history, 0
+        return dico, window, 0
     keep = np.ones(k, dtype=bool)
     keep[eligible] = False
-    hist = history.copy()
-    hist.delete(eligible)
-    return Dictionary(dico.atoms[:, keep]), hist, int(eligible.size)
+    return Dictionary(dico.atoms[:, keep]), window[keep], int(eligible.size)
 
 
-def add_atoms(dico: Dictionary, history: ScoreHistory, cands: CandidateSet,
-              mu_max: float, add_threshold: int, initial_score: int, *,
-              iteration: int):
+def add_atoms(dico: Dictionary, window: np.ndarray, cands: CandidateSet,
+              mu_max: float, add_threshold: int, initial_score: int):
     """Append candidates scoring at least the threshold, best first, when
     they stay incoherent (<= mu_max) to the growing dictionary.
 
-    Added atoms get a full history window of ``initial_score`` and the
-    current iteration as birthday.
+    Added atoms get a window row full of ``initial_score``.
 
-    Returns (dictionary, history, added_count).
+    Returns (dictionary, window, added_count).
     """
     if cands.L == 0:
-        return dico, history, 0
+        return dico, window, 0
     order = np.argsort(-cands.scores, kind="stable")
     order = order[cands.scores[order] >= add_threshold]
     if order.size == 0:
-        return dico, history, 0
+        return dico, window, 0
     atoms = dico.atoms
     added = 0
     for idx in order:
@@ -213,10 +156,9 @@ def add_atoms(dico: Dictionary, history: ScoreHistory, cands: CandidateSet,
             atoms = np.column_stack([atoms, gamma])
             added += 1
     if added == 0:
-        return dico, history, 0
-    hist = history.copy()
-    hist.append(added, initial_score, iteration)
-    return Dictionary(atoms), hist, added
+        return dico, window, 0
+    fresh = np.full((added, window.shape[1]), initial_score, dtype=np.int64)
+    return Dictionary(atoms), np.vstack([window, fresh]), added
 
 
 def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
@@ -229,8 +171,10 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     round(d/5) atoms (from iteration 2m), candidate adding (from iteration
     m, frozen during the last ``freeze_add_tail`` iterations, 3m by
     default), then the one-step sparsity update (from iteration m).  The
-    score memory is m = round(log d) iterations.  The sparsity level starts
-    at 1.
+    score window holds each atom's scores of the last m = round(log d)
+    iterations; an added atom's row starts full of ``min_observations``, so
+    it cannot be pruned as unused during its first m iterations.  The
+    sparsity level starts at 1.
     """
     d = dico0.d
     cfg = cfg.resolve(d)
@@ -238,7 +182,7 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     m = default_candidate_count(d)
     max_pruned = max(1, round_half_up(d / 5))
     dico = dico0
-    history = ScoreHistory.empty(dico.K, m)
+    window = np.zeros((dico.K, m), dtype=np.int64)
     level = 1
     traj = Trajectory()
     t0 = time.perf_counter()
@@ -253,18 +197,17 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
             cands = draw_candidates(d, m, rng)
             out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng)
             dico = out.new_dictionary
-            history.push(out.atom_scores)
-            dico, history, merges = prune_coherent(dico, history, cfg.mu_max)
+            window = np.column_stack([out.atom_scores, window[:, :-1]])
+            dico, window, merges = prune_coherent(dico, window, cfg.mu_max)
             pruned = 0
             if t >= 2 * m:
-                dico, history, pruned = prune_unused(
-                    dico, history, cfg.min_observations, max_pruned,
-                    iteration=t, ambient_dim=d)
+                dico, window, pruned = prune_unused(
+                    dico, window, cfg.min_observations, max_pruned)
             added = 0
             if m <= t <= iterations - cfg.freeze_add_tail:
-                dico, history, added = add_atoms(
-                    dico, history, out.candidate_state, cfg.mu_max,
-                    cfg.candidate_add_threshold, cfg.min_observations, iteration=t)
+                dico, window, added = add_atoms(
+                    dico, window, cands, cfg.mu_max,
+                    cfg.candidate_add_threshold, cfg.min_observations)
             s_bar_raw = out.sparsity_accumulator / out.signals_used
             if t >= m:
                 level = update_sparsity(level, out.s_bar, max_level=min(d, dico.K))

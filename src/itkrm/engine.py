@@ -16,7 +16,8 @@ inner products of each signal by S rounds of first-maximum argmax with the
 winner masked, so ties go to the lowest atom index.  The normal equations of
 all signals of a chunk are solved by the batched Cholesky kernel of
 ``linalg``; only signals whose support holds duplicate or near-duplicate
-atoms (a pivot not above EIG_TRUNCATION) get the truncated-eigh solution.
+atoms (a pivot not above EIGH_PIVOT_MARGIN) go to the truncated-eigh
+solver, which decides whether to truncate.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ RESIDUAL_ZERO_REL = 1e-10
 # Pre-normalization atom norms below this floor freeze the atom for the
 # iteration and zero its value counter, which marks it unused for replacement.
 DEAD_ATOM_FLOOR = 1e-3
+
+# A signal whose Cholesky factor has a pivot at or below this margin is
+# solved by truncated eigh instead, so the truncation decision is eigh's.
+EIGH_PIVOT_MARGIN = 1e-6
 
 VARIANTS = ("plain", "replacement", "adaptive")
 
@@ -84,7 +89,6 @@ class IterationOutput:
     new_dictionary: Dictionary
     raw_norms: np.ndarray            # pre-normalization atom norms
     atom_scores: np.ndarray          # value counter v(k), dead atoms zeroed
-    candidate_state: Optional[CandidateSet]
     sparsity_accumulator: int        # numerator of the average sparsity level
     signals_used: int
     s_t_accumulator: int             # numerator of the correct-atom diagnostic
@@ -142,11 +146,11 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                   rng: Optional[np.random.Generator] = None) -> IterationOutput:
     """One full iteration over the batch.
 
-    Candidate learning runs iff ``candidates`` is given: the candidate
-    accumulator is renormalized at each of the first m-1 sub-batch
-    boundaries, so the returned candidate atoms are the ones scored by the
-    final window.  Atoms whose raw update stays below DEAD_ATOM_FLOOR keep
-    their previous direction and get value 0.
+    Candidate learning runs iff ``candidates`` is given, and updates that
+    set in place: the candidate accumulator is renormalized at each of the
+    first m-1 sub-batch boundaries, so the candidate atoms end as the ones
+    scored by the final window.  Atoms whose raw update stays below
+    DEAD_ATOM_FLOOR keep their previous direction and get value 0.
     """
     d, k = dico.d, dico.K
     y_all = batch.signals
@@ -204,10 +208,12 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                 cholesky_append(chol, rdiag, x, j, sub_gram[:j, j], sub_gram[j, j], b[j])
                 for j in range(s)])
             cholesky_back_substitute(chol, rdiag, x, s, out=x)
-            degenerate = np.flatnonzero(~live)
+            # rdiag is 1/sqrt(pivot), and 0 for a pivot not above EIG_TRUNCATION
+            near = (rdiag >= EIGH_PIVOT_MARGIN ** -0.5).any(axis=0)
+            degenerate = np.flatnonzero(~live | near)
             if degenerate.size:
-                # duplicate atoms: the coefficients feed the value counters,
-                # so these signals get the minimum-norm answer
+                # duplicate or near-duplicate atoms: the coefficients feed
+                # the value counters, so these signals get eigh's answer
                 x[:, degenerate] = solve_normal_equations(
                     sub_gram[:, :, degenerate].transpose(2, 0, 1),
                     b[:, degenerate].T).T
@@ -266,7 +272,6 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
         new_dictionary=Dictionary(new_atoms),
         raw_norms=raw_norms,
         atom_scores=scores,
-        candidate_state=candidates,
         sparsity_accumulator=sbar_acc,
         signals_used=n,
         s_t_accumulator=st_acc,
@@ -404,10 +409,9 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
                 learned = cands if candidate_source == "learned" else None
                 out = run_iteration(dico, batch, cfg, candidates=learned, rng=rng)
                 dico = out.new_dictionary
-                pool = out.candidate_state if candidate_source == "learned" else cands
                 events: List[tuple] = []
                 dico, v, pool, replaced = replace_coherent(dico, out.atom_scores,
-                                                           pool, policy,
+                                                           cands, policy,
                                                            event_log=events)
                 dico, swapped = replace_unused(dico, v, pool, policy,
                                                event_log=events)

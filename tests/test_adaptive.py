@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 
-from itkrm.adaptive import (AdaptiveConfig, ScoreHistory, add_atoms,
-                            prune_coherent, prune_unused, run_adaptive,
-                            update_sparsity)
+from itkrm.adaptive import (AdaptiveConfig, add_atoms, prune_coherent,
+                            prune_unused, run_adaptive, update_sparsity)
 from itkrm.candidates import CandidateSet
 from itkrm.engine import FreshBatches
 from itkrm.linalg import Dictionary, coherence
@@ -12,13 +11,9 @@ from itkrm.signals import (BalancedCoefficients, SignalModel,
                            make_random_sphere, rng_from_seed)
 
 
-def _history(scores_2d, birth=None, filled=None):
-    scores = np.asarray(scores_2d, dtype=np.int64)
-    h = ScoreHistory(scores=scores,
-                     birth=np.zeros(scores.shape[0], dtype=np.int64)
-                     if birth is None else np.asarray(birth, dtype=np.int64))
-    h.filled = scores.shape[1] if filled is None else filled
-    return h
+def _history(scores_2d):
+    """(K, m) score window, newest scores in column 0."""
+    return np.asarray(scores_2d, dtype=np.int64)
 
 
 # --- sparsity update ---------------------------------------------------------
@@ -49,12 +44,13 @@ def test_prune_coherent_duplicate_pair_scores_add():
     atoms = base[:, [0, 0, 1, 2]]
     hist = _history([[10, 1, 1], [30, 2, 2], [5, 5, 5], [5, 5, 5]])
     out, h, merges = prune_coherent(Dictionary(atoms), hist, 0.7)
+    assert hist[0, 0] == 10      # the caller's window is left as it was
     assert merges == 1
     assert out.K == 3
     assert np.allclose(np.abs(out.atoms[:, 0]), base[:, 0])
-    assert h.scores[0, 0] == 40
-    # older history entries stay the keeper's
-    assert h.scores[0, 1] == 1
+    assert h[0, 0] == 40
+    # older window entries stay the keeper's
+    assert h[0, 1] == 1
 
 
 def test_prune_coherent_merge_direction_weighted_by_recent_scores():
@@ -87,7 +83,7 @@ def test_prune_coherent_single_merge_per_atom_per_call():
 def test_prune_unused_no_deletion_above_threshold():
     dico = Dictionary(np.eye(4))
     hist = _history(np.full((4, 3), 50))
-    out, h, n = prune_unused(dico, hist, 50, 2, iteration=10, ambient_dim=4)
+    out, h, n = prune_unused(dico, hist, 50, 2)
     assert n == 0
 
 
@@ -95,34 +91,40 @@ def test_prune_unused_caps_at_delta_with_smallest_scores():
     dico = Dictionary(np.eye(8))
     scores = np.array([[1], [2], [3], [4], [5], [6], [100], [100]])
     hist = _history(np.repeat(scores, 2, axis=1))
-    out, h, n = prune_unused(dico, hist, 50, 5, iteration=10, ambient_dim=8)
+    out, h, n = prune_unused(dico, hist, 50, 5)
     assert n == 5
     assert out.K == 3
     # the three survivors are the two reliable atoms plus the best of the rest
-    assert np.array_equal(h.max_scores(), np.array([6, 100, 100]))
+    assert np.array_equal(h.max(axis=1), np.array([6, 100, 100]))
 
 
-def test_prune_unused_embargo_protects_fresh_atoms():
-    dico = Dictionary(np.eye(3))
-    hist = _history(np.zeros((3, 2)), birth=[0, 0, 9])
-    out, h, n = prune_unused(dico, hist, 10, 3, iteration=10, ambient_dim=3)
-    # atom 2 was added at iteration 9: age 1 < memory 2, kept
-    assert n == 2
-    assert out.K == 1
-
-
-def test_prune_unused_inert_until_window_full():
-    dico = Dictionary(np.eye(3))
-    hist = _history(np.zeros((3, 4)), filled=2)
-    out, h, n = prune_unused(dico, hist, 10, 3, iteration=3, ambient_dim=3)
-    assert n == 0
+def test_prune_unused_window_grace_period_protects_fresh_atoms():
+    # an atom added with a window of M survives m - 1 zero-score pushes and
+    # goes with the m-th, when no entry of M is left
+    base = np.eye(6)
+    m, big_m = 3, 10
+    dico = Dictionary(base[:, :3])
+    hist = _history(np.full((3, m), 50))
+    cands = CandidateSet(atoms=base[:, [3]], scores=np.array([20]))
+    dico, hist, added = add_atoms(dico, hist, cands, 0.7, add_threshold=5,
+                                  initial_score=big_m)
+    assert added == 1
+    for push in range(1, m + 1):
+        pushed = np.column_stack([np.array([50, 50, 50, 0]), hist[:, :-1]])
+        out, h, n = prune_unused(dico, pushed, big_m, 3)
+        if push < m:
+            assert n == 0 and out.K == 4
+        else:
+            assert n == 1 and out.K == 3
+            assert np.array_equal(out.atoms, base[:, :3])
+        hist = pushed
 
 
 def test_prune_unused_undercomplete_guard():
     # K=4 < d/10: at most half the atoms go
     dico = Dictionary(np.eye(64)[:, :4])
     hist = _history(np.zeros((4, 2)))
-    out, h, n = prune_unused(dico, hist, 10, 10, iteration=5, ambient_dim=64)
+    out, h, n = prune_unused(dico, hist, 10, 10)
     assert n == 2
     assert out.K == 2
 
@@ -130,7 +132,7 @@ def test_prune_unused_undercomplete_guard():
 def test_prune_unused_never_empties_dictionary():
     dico = Dictionary(np.eye(3))
     hist = _history(np.zeros((3, 1)))
-    out, h, n = prune_unused(dico, hist, 10, 99, iteration=5, ambient_dim=3)
+    out, h, n = prune_unused(dico, hist, 10, 99)
     assert out.K >= 1
 
 
@@ -142,12 +144,11 @@ def test_add_atoms_threshold_and_coherence():
     hist = _history(np.full((3, 2), 9))
     cands = CandidateSet(atoms=base[:, [3, 4]], scores=np.array([100, 5]))
     out, h, added = add_atoms(dico, hist, cands, 0.7, add_threshold=50,
-                              initial_score=77, iteration=4)
+                              initial_score=77)
     assert added == 1
     assert out.K == 4
     assert np.allclose(out.atoms[:, 3], base[:, 3])
-    assert np.all(h.scores[3] == 77)
-    assert h.birth[3] == 4
+    assert np.all(h[3] == 77)
 
 
 def test_add_atoms_second_coherent_candidate_rejected():
@@ -159,7 +160,7 @@ def test_add_atoms_second_coherent_candidate_rejected():
     cands = CandidateSet(atoms=np.column_stack([good, near]),
                          scores=np.array([80, 60]))
     out, h, added = add_atoms(dico, hist, cands, 0.7, add_threshold=50,
-                              initial_score=1, iteration=1)
+                              initial_score=1)
     assert added == 1  # second candidate is coherent with the first, rejected
 
 
@@ -168,7 +169,7 @@ def test_add_atoms_no_candidate_reaches_threshold():
     hist = _history(np.ones((4, 2)))
     cands = CandidateSet(atoms=np.eye(4)[:, :2], scores=np.array([3, 2]))
     out, h, added = add_atoms(dico, hist, cands, 0.7, add_threshold=10,
-                              initial_score=1, iteration=1)
+                              initial_score=1)
     assert added == 0
 
 

@@ -19,13 +19,14 @@ def _cands(atoms, scores=None):
 
 
 def _learn(atoms, signals, cands, *, sparsity=1, variant="replacement", m=1):
-    """Candidate state after one iteration of the dictionary ``atoms`` over
-    ``signals`` with m candidate sub-batches; redraws come from seed 2."""
+    """``cands`` after one iteration of the dictionary ``atoms`` over
+    ``signals`` with m candidate sub-batches, which updates it in place;
+    redraws come from seed 2."""
     cfg = EngineConfig(sparsity=sparsity, variant=variant, min_observations=4,
                        candidate_subbatches=m)
-    out = run_iteration(Dictionary(atoms), SignalBatch(signals=signals), cfg,
-                        candidates=cands, rng=rng_from_seed(2))
-    return out.candidate_state
+    run_iteration(Dictionary(atoms), SignalBatch(signals=signals), cfg,
+                  candidates=cands, rng=rng_from_seed(2))
+    return cands
 
 
 def _sphere_draw(d, count):

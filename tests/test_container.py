@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,4 +48,13 @@ def test_read_rejects_truncated(tmp_path):
     container.write_matrix(path, np.zeros((3, 3)))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
+        container.read_matrix(path)
+
+
+def test_read_rejects_absurd_header_before_allocating(tmp_path):
+    # the header claims 2^40 x 2^40 entries; the size check on the 8-byte
+    # body raises before anything of the claimed size is allocated
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"SPDK1" + struct.pack("<QQ", 2 ** 40, 2 ** 40) + b"\0" * 8)
+    with pytest.raises(ValueError, match="payload bytes"):
         container.read_matrix(path)

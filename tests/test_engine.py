@@ -210,6 +210,12 @@ def _estimate_with_pair(rng, eps):
     return Dictionary.from_columns(atoms, normalize=True)
 
 
+# noise of the near-duplicate atom; at 4e-6 and 1e-5 the pair's Cholesky
+# pivot lies above EIG_TRUNCATION but below engine.EIGH_PIVOT_MARGIN
+NEAR_DUPLICATE_EPS = {"near_duplicate_pair": 1e-6, "near_duplicate_pair_4e-6": 4e-6,
+                      "near_duplicate_pair_1e-5": 1e-5}
+
+
 def _reference_inputs(rng, case):
     """(estimate, batch) of one input of the per-signal reference test."""
     if case == "tiny_batch":     # N = 2 signals, fewer than m = 3 sub-batches
@@ -218,14 +224,14 @@ def _reference_inputs(rng, case):
     dico, batch = _small_batch(rng)
     if case == "duplicate_pair":
         return _estimate_with_pair(rng, 0.0), batch
-    if case == "near_duplicate_pair":
-        return _estimate_with_pair(rng, 1e-6), batch
+    if case in NEAR_DUPLICATE_EPS:
+        return _estimate_with_pair(rng, NEAR_DUPLICATE_EPS[case]), batch
     return random_dictionary(12, 16, rng), batch
 
 
 @pytest.mark.parametrize("variant,case", [
     pytest.param(variant, case, id=variant if case == "random" else f"{variant}-{case}")
-    for case in ("random", "duplicate_pair", "near_duplicate_pair", "tiny_batch")
+    for case in ("random", "duplicate_pair", *NEAR_DUPLICATE_EPS, "tiny_batch")
     for variant in ("plain", "replacement", "adaptive")])
 def test_run_iteration_matches_per_signal_reference(rng, variant, case):
     est, batch = _reference_inputs(rng, case)
@@ -269,9 +275,8 @@ def test_run_iteration_matches_per_signal_reference(rng, variant, case):
     if variant == "adaptive":
         assert out.sparsity_accumulator == sbar
     if cands2 is not None:
-        got = out.candidate_state
-        assert np.allclose(got.atoms, cands2.atoms, atol=1e-9)
-        assert np.array_equal(got.scores, cands2.scores)
+        assert np.allclose(cands.atoms, cands2.atoms, atol=1e-9)
+        assert np.array_equal(cands.scores, cands2.scores)
 
 
 def test_eigh_fallback_gets_only_degenerate_columns(rng, monkeypatch):
@@ -368,10 +373,11 @@ def test_run_iteration_equivariant_under_permutation_and_sign_flips(
 
     def iterate(dico):
         cands = draw_candidates(d, 2, rng_from_seed(seed, 1)) if with_candidates else None
-        return run_iteration(dico, batch, cfg, candidates=cands,
-                             rng=rng_from_seed(seed, 2))
+        out = run_iteration(dico, batch, cfg, candidates=cands,
+                            rng=rng_from_seed(seed, 2))
+        return out, cands
 
-    a, b = iterate(est), iterate(moved)
+    (a, a_cands), (b, b_cands) = iterate(est), iterate(moved)
     assert np.allclose(b.new_dictionary.atoms, a.new_dictionary.atoms[:, perm] * flips,
                        rtol=0, atol=1e-9)
     assert np.allclose(b.raw_norms, a.raw_norms[perm], rtol=0, atol=1e-9)
@@ -381,9 +387,8 @@ def test_run_iteration_equivariant_under_permutation_and_sign_flips(
     assert np.allclose(np.linalg.norm(a.new_dictionary.atoms[:, live], axis=0), 1.0,
                        rtol=0, atol=1e-12)
     if with_candidates:
-        assert np.allclose(b.candidate_state.atoms, a.candidate_state.atoms,
-                           rtol=0, atol=1e-9)
-        assert np.array_equal(b.candidate_state.scores, a.candidate_state.scores)
+        assert np.allclose(b_cands.atoms, a_cands.atoms, rtol=0, atol=1e-9)
+        assert np.array_equal(b_cands.scores, a_cands.scores)
 
 
 # --- oracle residual ---------------------------------------------------------
