@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace as dc_replace
 from typing import Optional
@@ -174,7 +175,8 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     score window holds each atom's scores of the last m = round(log d)
     iterations; an added atom's row starts full of ``min_observations``, so
     it cannot be pruned as unused during its first m iterations.  The
-    sparsity level starts at 1.
+    sparsity level starts at 1.  As in ``run_learning``, one helper thread
+    per run draws the next fresh batch and runs sub-batch selections.
     """
     d = dico0.d
     cfg = cfg.resolve(d)
@@ -186,7 +188,8 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     level = 1
     traj = Trajectory()
     t0 = time.perf_counter()
-    with closing(signal_source.batches(iterations)) as batches:
+    with ThreadPoolExecutor(max_workers=1) as helper, \
+            closing(signal_source.batches(iterations, helper)) as batches:
         for t, batch in enumerate(batches, start=1):
             engine_cfg = EngineConfig(
                 sparsity=min(level, d, dico.K),
@@ -195,7 +198,8 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
                 min_observations=cfg.min_observations,
             )
             cands = draw_candidates(d, m, rng)
-            out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng)
+            out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng,
+                                helper=helper)
             dico = out.new_dictionary
             window = np.column_stack([out.atom_scores, window[:, :-1]])
             dico, window, merges = prune_coherent(dico, window, cfg.mu_max)

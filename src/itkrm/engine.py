@@ -11,23 +11,31 @@ sparsity update.
 
 The batched implementation walks the signals in sub-batch chunks whose walls
 coincide with the candidate renormalization boundaries, and adds each chunk's
-partial sums to running totals.  Thresholding picks the S largest absolute
-inner products of each signal by S rounds of first-maximum argmax with the
-winner masked, so ties go to the lowest atom index.  The normal equations of
-all signals of a chunk are solved by the batched Cholesky kernel of
-``linalg``; only signals whose support holds duplicate or near-duplicate
-atoms (a pivot not above EIGH_PIVOT_MARGIN) go to the truncated-eigh
-solver, which decides whether to truncate.
+partial sums to running totals.  Each chunk has two stages.  Its selection
+(Phi^T Y, thresholding, the sub-Gram solve) depends only on the dictionary
+and the signals, so the selection of chunk j+1 runs on a helper thread
+while the calling thread runs the update of chunk j (residuals, sums,
+counters, candidates); every sum is added in chunk order on the calling
+thread, and only that thread draws random numbers, so the bytes do not
+depend on which thread ran a selection.  A learning run shares one helper
+between these selections and the batch prefetch.  Thresholding picks the S
+largest absolute inner products of each signal by S rounds of first-maximum
+argmax with the winner masked, so ties go to the lowest atom index.  The
+normal equations of all signals of a chunk are solved by the batched
+Cholesky kernel of ``linalg``; only signals whose support holds duplicate or
+near-duplicate atoms (a pivot not above EIGH_PIVOT_MARGIN) go to the
+truncated-eigh solver, which decides whether to truncate.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -104,7 +112,8 @@ class IterationOutput:
         return self.s_t_accumulator / self.signals_used
 
 
-def top_s_indices(ip: np.ndarray, s: int) -> np.ndarray:
+def top_s_indices(ip: np.ndarray, s: int,
+                  scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Indices of the s largest absolute entries per column, ties to the
     lowest index.
 
@@ -112,14 +121,16 @@ def top_s_indices(ip: np.ndarray, s: int) -> np.ndarray:
     sorted ascending.  Each of s rounds takes the row-wise argmax of one
     contiguous (N, K) array of absolute values and masks the winner with
     -inf; argmax returns the first maximum, so ties go to the lowest index.
+    That array is ``scratch`` when given, a new one otherwise.
     """
     k, n = ip.shape
     if s > k:
         raise ValueError("sparsity exceeds the number of atoms")
     if s == k:
         return np.tile(np.arange(k, dtype=np.int64)[:, None], (1, n))
-    vals = ip.T.copy()
-    np.abs(vals, out=vals)
+    if scratch is None:
+        scratch = np.empty((n, k))
+    vals = np.abs(ip.T, out=scratch)
     rows = np.arange(n)
     picked = np.empty((s, n), dtype=np.int64)
     for r in range(s):
@@ -141,9 +152,70 @@ def threshold_support(dico: Dictionary, y: np.ndarray, s: int) -> Support:
     return Support(idx[:, 0])
 
 
+def _select(atoms: np.ndarray, gram: np.ndarray, y: np.ndarray, s: int,
+            ip: np.ndarray, scratch: np.ndarray):
+    """Selection stage of one sub-batch: threshold the (d, nc) signals ``y``
+    and solve their normal equations.
+
+    ``ip`` (K, nc) receives Phi^T y and ``scratch`` (nc, K) its absolute
+    values; the caller owns both and may reuse them once this returns.
+    Returns (sel, b, x): the (s, nc) supports, their inner products and
+    their coefficients.
+    """
+    np.matmul(atoms.T, y, out=ip)
+    sel = top_s_indices(ip, s, scratch)                 # (s, nc)
+    sub_gram = gram[sel[:, None, :], sel[None, :, :]]   # (s, s, nc)
+    b = np.take_along_axis(ip, sel, axis=0)             # (s, nc)
+    nc = y.shape[1]
+    chol = np.zeros((s, s, nc))
+    rdiag = np.empty((s, nc))
+    x = np.empty((s, nc))                               # z = L^-1 b, then x
+    live = np.logical_and.reduce([
+        cholesky_append(chol, rdiag, x, j, sub_gram[:j, j], sub_gram[j, j], b[j])
+        for j in range(s)])
+    cholesky_back_substitute(chol, rdiag, x, s, out=x)
+    # rdiag is 1/sqrt(pivot), and 0 for a pivot not above EIG_TRUNCATION
+    near = (rdiag >= EIGH_PIVOT_MARGIN ** -0.5).any(axis=0)
+    degenerate = np.flatnonzero(~live | near)
+    if degenerate.size:
+        # duplicate or near-duplicate atoms: the coefficients feed the value
+        # counters, so these signals get eigh's answer
+        x[:, degenerate] = solve_normal_equations(
+            sub_gram[:, :, degenerate].transpose(2, 0, 1),
+            b[:, degenerate].T).T
+    return sel, b, x
+
+
+def _run_ahead(jobs: Sequence[Callable], helper: Optional[Executor]) -> Iterator:
+    """The results of ``jobs`` in order; job j+1 runs on ``helper`` (a
+    single-worker executor, opened here when None) while the caller works
+    on the result of job j.
+
+    A job the helper has not started when its result is due, because the
+    helper is busy with other work, is cancelled and run by the caller, so
+    at most one of these jobs runs at a time.  A job's error is raised
+    where its result is taken.  Closing the generator early cancels the
+    next job, or waits for it if it is running.
+    """
+    with ExitStack() as stack:
+        if helper is None:
+            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+        pending = None
+        try:
+            for j, job in enumerate(jobs):
+                result = job() if pending is None or pending.cancel() \
+                    else pending.result()
+                pending = helper.submit(jobs[j + 1]) if j + 1 < len(jobs) else None
+                yield result
+        finally:
+            if pending is not None and not pending.cancel():
+                wait((pending,))
+
+
 def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                   candidates: Optional[CandidateSet] = None,
-                  rng: Optional[np.random.Generator] = None) -> IterationOutput:
+                  rng: Optional[np.random.Generator] = None, *,
+                  helper: Optional[Executor] = None) -> IterationOutput:
     """One full iteration over the batch.
 
     Candidate learning runs iff ``candidates`` is given, and updates that
@@ -151,6 +223,11 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     first m-1 sub-batch boundaries, so the candidate atoms end as the ones
     scored by the final window.  Atoms whose raw update stays below
     DEAD_ATOM_FLOOR keep their previous direction and get value 0.
+
+    The selection of sub-batch j+1 runs on ``helper`` (a single-worker
+    executor, opened for this call when not given; see ``_run_ahead``)
+    while this thread runs the update of sub-batch j.  The bytes are those
+    of running every selection on this thread.
     """
     d, k = dico.d, dico.K
     y_all = batch.signals
@@ -182,41 +259,38 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
         log_theta = 2.0 * math.log(4.0 * k)
 
     boundaries = {j * n_gamma for j in range(1, m) if j * n_gamma <= n}
+    # nothing reads the candidate accumulator after the last boundary
+    last_boundary = max(boundaries, default=0)
     walls = sorted({0, n} | boundaries)
+    chunks = list(zip(walls[:-1], walls[1:]))
     acc = np.zeros((d, k))           # sum of signed residuals per atom
     colsum = np.zeros(k)             # sum of |<atom, y>| over its selections
     scores = np.zeros(k, dtype=np.int64)
     sbar_acc = 0
     st_acc = 0
 
-    for lo, hi in zip(walls[:-1], walls[1:]):
-        if hi > lo:
+    # The (K, nc) product and its (nc, K) absolute copy are allocated once,
+    # on this thread, and reused by every selection (at most one runs at a
+    # time): arrays the helper allocated stayed in its malloc arena and
+    # raised the peak RSS.
+    width = max((hi - lo for lo, hi in chunks), default=0)
+    ip_buf = np.empty(k * width)
+    scratch_buf = np.empty(k * width)
+
+    def select(lo, hi):
+        nc = hi - lo
+        return _select(atoms, gram, y_all[:, lo:hi], s,
+                       ip_buf[:k * nc].reshape(k, nc),
+                       scratch_buf[:k * nc].reshape(nc, k))
+
+    jobs = [partial(select, lo, hi) for lo, hi in chunks]
+    with closing(_run_ahead(jobs, helper)) as selections:
+        for (lo, hi), (sel, b, x) in zip(chunks, selections):
             y = y_all[:, lo:hi]
             nc = hi - lo
             cols = np.arange(nc)
-            ip = atoms.T @ y
-            sel = top_s_indices(ip, s)                      # (s, nc)
-            sub_gram = gram[sel[:, None, :], sel[None, :, :]]   # (s, s, nc)
-            b = np.take_along_axis(ip, sel, axis=0)         # (s, nc)
-            # each (K, nc) temporary goes as soon as it is used, so that a
-            # batch drawn on the prefetch thread fits beside the iteration
-            del ip
-            chol = np.zeros((s, s, nc))
-            rdiag = np.empty((s, nc))
-            x = np.empty((s, nc))                           # z = L^-1 b, then x
-            live = np.logical_and.reduce([
-                cholesky_append(chol, rdiag, x, j, sub_gram[:j, j], sub_gram[j, j], b[j])
-                for j in range(s)])
-            cholesky_back_substitute(chol, rdiag, x, s, out=x)
-            # rdiag is 1/sqrt(pivot), and 0 for a pivot not above EIG_TRUNCATION
-            near = (rdiag >= EIGH_PIVOT_MARGIN ** -0.5).any(axis=0)
-            degenerate = np.flatnonzero(~live | near)
-            if degenerate.size:
-                # duplicate or near-duplicate atoms: the coefficients feed
-                # the value counters, so these signals get eigh's answer
-                x[:, degenerate] = solve_normal_equations(
-                    sub_gram[:, :, degenerate].transpose(2, 0, 1),
-                    b[:, degenerate].T).T
+            # each (K, nc) temporary goes as soon as it is used, so that
+            # a batch drawn on the helper fits beside the iteration
             coef = np.zeros((k, nc))
             coef[sel, cols[None, :]] = x
             approx = atoms @ coef
@@ -251,16 +325,17 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                 ipc = candidates.atoms.T @ resid            # (L, nc)
                 winners = np.argmax(np.abs(ipc), axis=0)
                 wvals = ipc[winners, cols]
-                weights = np.zeros((nc, candidates.L))
-                weights[cols[valid], winners[valid]] = sign_pm(wvals[valid])
-                cand_acc += resid @ weights
+                if hi <= last_boundary:
+                    weights = np.zeros((nc, candidates.L))
+                    weights[cols[valid], winners[valid]] = sign_pm(wvals[valid])
+                    cand_acc += resid @ weights
                 passed = valid & (wvals ** 2 >= tau_gamma * res_sq)
                 candidates.scores += np.bincount(winners[passed],
                                                  minlength=candidates.L)
 
-        if candidates is not None and hi in boundaries:
-            # sub-batch boundary: renormalize candidates for the next window
-            normalize_subbatch(candidates, cand_acc, rng, reset_scores=adaptive)
+            if candidates is not None and hi in boundaries:
+                # sub-batch boundary: renormalize candidates for the next window
+                normalize_subbatch(candidates, cand_acc, rng, reset_scores=adaptive)
 
     raw = acc + atoms * colsum
     raw_norms = np.linalg.norm(raw, axis=0)
@@ -287,7 +362,7 @@ class FreshBatches:
 
     Batch t comes from its own generator, ``rng_from_seed(model.seed, t)``,
     so it does not depend on iteration t-1.  ``batches`` therefore draws
-    batch t+1 on one worker thread while the caller runs iteration t; the
+    batch t+1 on a helper thread while the caller runs iteration t; the
     bytes are those of drawing one batch after the other.  No batch past
     the last iteration is drawn, and a caller that stops early waits for at
     most the one draw in flight.
@@ -301,25 +376,20 @@ class FreshBatches:
         return generate_batch(self.model, self.n,
                               rng=rng_from_seed(self.model.seed, iteration))
 
-    def batches(self, iterations: int) -> Iterator[SignalBatch]:
-        """The batches of iterations 1..iterations, each drawn ahead.
+    def batches(self, iterations: int,
+                helper: Optional[Executor] = None) -> Iterator[SignalBatch]:
+        """The batches of iterations 1..iterations; batch t+1 is drawn on
+        ``helper`` (a single-worker executor, opened here when not given)
+        while the caller works on batch t.
 
-        An error of a draw is raised where its batch is taken.  Closing the
-        generator early waits for the draw in flight, so no thread outlives
-        it.
+        A learning run passes the helper its iterations submit selections
+        to, so the draw and the selections share one thread; a selection
+        queued behind a draw runs on the caller instead.  An error of a
+        draw is raised where its batch is taken.  Closing the generator
+        early waits for the draw in flight.
         """
-        if iterations < 1:
-            return
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pending = pool.submit(self.batch, 1)
-            try:
-                for t in range(1, iterations + 1):
-                    batch = pending.result()
-                    if t < iterations:
-                        pending = pool.submit(self.batch, t + 1)
-                    yield batch
-            finally:
-                pending.cancel()
+        return _run_ahead([partial(self.batch, t) for t in range(1, iterations + 1)],
+                          helper)
 
 
 class FixedCorpus:
@@ -328,7 +398,8 @@ class FixedCorpus:
     def __init__(self, batch: SignalBatch):
         self._batch = batch
 
-    def batches(self, iterations: int) -> Iterator[SignalBatch]:
+    def batches(self, iterations: int,
+                helper: Optional[Executor] = None) -> Iterator[SignalBatch]:
         for _ in range(iterations):
             yield self._batch
 
@@ -389,7 +460,9 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
     replacement pool is either the candidates learned inside the iteration
     or, with ``candidate_source == "random"``, their fresh random
     initializations (the random-replacement baseline).  Candidates are
-    redrawn from the sphere at the start of every iteration.
+    redrawn from the sphere at the start of every iteration.  The run opens
+    one helper thread, which draws the next fresh batch and runs sub-batch
+    selections; it ends with the run.
     """
     if cfg.variant == "adaptive":
         raise ValueError("use run_adaptive for the adaptive variant")
@@ -401,13 +474,15 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
     dico = dico0
     traj = Trajectory()
     t0 = time.perf_counter()
-    with closing(signal_source.batches(iterations)) as batches:
+    with ThreadPoolExecutor(max_workers=1) as helper, \
+            closing(signal_source.batches(iterations, helper)) as batches:
         for t, batch in enumerate(batches, start=1):
             replaced = 0
             if cfg.variant == "replacement":
                 cands = draw_candidates(dico.d, default_candidate_count(dico.d), rng)
                 learned = cands if candidate_source == "learned" else None
-                out = run_iteration(dico, batch, cfg, candidates=learned, rng=rng)
+                out = run_iteration(dico, batch, cfg, candidates=learned, rng=rng,
+                                    helper=helper)
                 dico = out.new_dictionary
                 events: List[tuple] = []
                 dico, v, pool, replaced = replace_coherent(dico, out.atom_scores,
@@ -418,7 +493,7 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
                 replaced += swapped
                 traj.replacement_events += [(t,) + ev for ev in events]
             else:
-                out = run_iteration(dico, batch, cfg)
+                out = run_iteration(dico, batch, cfg, helper=helper)
                 dico = out.new_dictionary
             dist, mean_dist, rate = metrics_against(reference, dico, recovery_threshold)
             now = time.perf_counter()

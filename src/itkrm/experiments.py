@@ -403,8 +403,12 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     results = []
     workers = worker_count()
     if workers > 1 and spec.trials > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned, not forked: a fork would copy this process's thread
+        # state into each worker, without the threads behind it
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             futures = [pool.submit(run_trial, spec, t) for t in range(spec.trials)]
             results = [f.result() for f in futures]
     else:

@@ -1,7 +1,9 @@
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -216,10 +218,14 @@ NEAR_DUPLICATE_EPS = {"near_duplicate_pair": 1e-6, "near_duplicate_pair_4e-6": 4
                       "near_duplicate_pair_1e-5": 1e-5}
 
 
+# batches of N <= m = 3 signals
+TINY_BATCHES = {"one_signal": 1, "tiny_batch": 2, "n_equals_m": 3}
+
+
 def _reference_inputs(rng, case):
     """(estimate, batch) of one input of the per-signal reference test."""
-    if case == "tiny_batch":     # N = 2 signals, fewer than m = 3 sub-batches
-        dico, batch = _small_batch(rng, n=2)
+    if case in TINY_BATCHES:
+        dico, batch = _small_batch(rng, n=TINY_BATCHES[case])
         return random_dictionary(12, 16, rng), batch
     dico, batch = _small_batch(rng)
     if case == "duplicate_pair":
@@ -231,7 +237,7 @@ def _reference_inputs(rng, case):
 
 @pytest.mark.parametrize("variant,case", [
     pytest.param(variant, case, id=variant if case == "random" else f"{variant}-{case}")
-    for case in ("random", "duplicate_pair", *NEAR_DUPLICATE_EPS, "tiny_batch")
+    for case in ("random", "duplicate_pair", *NEAR_DUPLICATE_EPS, *TINY_BATCHES)
     for variant in ("plain", "replacement", "adaptive")])
 def test_run_iteration_matches_per_signal_reference(rng, variant, case):
     est, batch = _reference_inputs(rng, case)
@@ -327,6 +333,116 @@ def test_run_iteration_deterministic(rng):
     b = run_iteration(est, batch, cfg)
     assert np.array_equal(a.new_dictionary.atoms, b.new_dictionary.atoms)
     assert np.array_equal(a.atom_scores, b.atom_scores)
+
+
+# --- selections on the helper thread -------------------------------------
+
+class EagerHelper(Executor):
+    """Runs each job to its end on a thread of its own before ``submit``
+    returns, so every selection but the first comes from another thread."""
+
+    def submit(self, fn, *args, **kwargs):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(fn, *args, **kwargs)
+
+
+def _iteration_bytes(variant, helper=None):
+    """Every output of one iteration over four sub-batches, as bytes."""
+    rng = np.random.default_rng(21)
+    _, batch = _small_batch(rng, n=400)
+    est = random_dictionary(12, 16, rng)
+    cfg = EngineConfig(sparsity=3, variant=variant, min_observations=10,
+                       candidate_subbatches=4)
+    cands = draw_candidates(12, 3, rng_from_seed(1)) if variant != "plain" else None
+    out = run_iteration(est, batch, cfg, candidates=cands,
+                        rng=rng_from_seed(2) if cands else None, helper=helper)
+    got = [out.new_dictionary.atoms.tobytes(), out.raw_norms.tobytes(),
+           out.atom_scores.tobytes(), out.sparsity_accumulator, out.s_t_accumulator]
+    if cands is not None:
+        got += [cands.atoms.tobytes(), cands.scores.tobytes()]
+    return got
+
+
+@pytest.fixture
+def selecting_threads(monkeypatch):
+    """The thread of each ``top_s_indices`` call, in call order."""
+    threads = []
+    real = engine.top_s_indices
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+    monkeypatch.setattr(engine, "top_s_indices", recording)
+    return threads
+
+
+@pytest.mark.parametrize("variant", ["plain", "replacement", "adaptive"])
+def test_run_iteration_same_bytes_whoever_selects(variant, selecting_threads):
+    main = threading.current_thread()
+    want = _iteration_bytes(variant)
+    with ThreadPoolExecutor(max_workers=1) as idle:
+        assert _iteration_bytes(variant, idle) == want
+    selecting_threads.clear()
+    assert _iteration_bytes(variant, EagerHelper()) == want
+    assert len(selecting_threads) == 4 and selecting_threads[0] is main
+    assert all(t is not main for t in selecting_threads[1:])
+    selecting_threads.clear()
+    with ThreadPoolExecutor(max_workers=1) as blocked:
+        release = threading.Event()
+        blocked.submit(release.wait, 60)
+        try:
+            assert _iteration_bytes(variant, blocked) == want
+        finally:
+            release.set()
+    assert selecting_threads == [main] * 4
+
+
+def test_concurrent_iterations_keep_their_bytes():
+    # more runs than cores, each with its own helper, and thread switches
+    # forced often: a buffer shared between calls, or a selection read
+    # before it ended, would change some run's bytes
+    want = _iteration_bytes("adaptive")
+    got = [None] * 4
+
+    def run(i):
+        got[i] = _iteration_bytes("adaptive")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [want] * 4
+
+
+@pytest.mark.parametrize("helper", [None, "run"])
+def test_selection_error_reaches_caller(helper, monkeypatch):
+    real = engine.top_s_indices
+    calls = []
+    error = RuntimeError("selection failed")
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return real(*args, **kwargs)
+    monkeypatch.setattr(engine, "top_s_indices", failing)
+    rng = np.random.default_rng(22)
+    _, batch = _small_batch(rng, n=400)
+    cfg = EngineConfig(sparsity=3, candidate_subbatches=4)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        if helper is None:
+            run_iteration(random_dictionary(12, 16, rng), batch, cfg)
+        else:
+            run_learning(random_dictionary(12, 16, rng), FixedCorpus(batch), cfg, 2)
+    assert info.value is error
+    assert threading.active_count() == before
 
 
 def test_run_iteration_near_fixed_point_noiseless():
@@ -518,9 +634,10 @@ def _prefetch_model(seed=11):
 
 
 class SerialBatches(FreshBatches):
-    """Each batch drawn on the calling thread when its iteration starts."""
+    """Each batch drawn on the calling thread when its iteration starts; the
+    run's helper is not used."""
 
-    def batches(self, iterations):
+    def batches(self, iterations, helper=None):
         for t in range(1, iterations + 1):
             yield self.batch(t)
 

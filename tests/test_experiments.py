@@ -179,6 +179,20 @@ def test_worker_pool_matches_serial(tmp_path, monkeypatch):
         (pooled / "trial_001_plain.dict").read_bytes()
 
 
+def test_worker_pool_spawns_workers(tmp_path, monkeypatch):
+    import concurrent.futures
+    contexts = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, mp_context=None, **kwargs):
+            contexts.append(mp_context)
+            super().__init__(max_workers, mp_context, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("ITKRM_WORKERS", "2")
+    run_experiment(tiny_spec(tmp_path))
+    assert [c.get_start_method() for c in contexts] == ["spawn"]
+
+
 def test_manifest_suffices_to_rerun(tmp_path):
     from itkrm.cli import parse_spec
     spec = tiny_spec(tmp_path)
