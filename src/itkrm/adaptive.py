@@ -175,8 +175,8 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     score window holds each atom's scores of the last m = round(log d)
     iterations; an added atom's row starts full of ``min_observations``, so
     it cannot be pruned as unused during its first m iterations.  The
-    sparsity level starts at 1.  As in ``run_learning``, one helper thread
-    per run draws the next fresh batch and runs sub-batch selections.
+    sparsity level starts at 1.  As in ``run_learning``, the run has one
+    helper thread (see ``engine``).
     """
     d = dico0.d
     cfg = cfg.resolve(d)

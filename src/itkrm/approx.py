@@ -13,7 +13,7 @@ import numpy as np
 
 from .linalg import (Dictionary, Support, cholesky_append,
                      cholesky_back_substitute, solve_normal_equations)
-from .signals import SignalBatch
+from .signals import SignalBatch, require_finite
 
 OMP_RESIDUAL_TOL = 1e-12
 
@@ -137,9 +137,7 @@ def approximation_power(dico: Dictionary, batch: SignalBatch,
     A signal with a NaN or infinite entry raises ValueError.
     """
     y = batch.signals
-    if not np.isfinite(y).all():
-        bad = int(np.argmin(np.isfinite(y).all(axis=0)))
-        raise ValueError(f"signal column {bad} has a non-finite entry")
+    require_finite(y)
     levels = np.array(sorted(set(int(s) for s in s_range)), dtype=np.int64)
     if levels.size == 0 or levels[0] < 1:
         raise ValueError("sparsity levels must be positive")

@@ -16,15 +16,18 @@ partial sums to running totals.  Each chunk has two stages.  Its selection
 and the signals, so the selection of chunk j+1 runs on a helper thread
 while the calling thread runs the update of chunk j (residuals, sums,
 counters, candidates); every sum is added in chunk order on the calling
-thread, and only that thread draws random numbers, so the bytes do not
-depend on which thread ran a selection.  A learning run shares one helper
-between these selections and the batch prefetch.  Thresholding picks the S
-largest absolute inner products of each signal by S rounds of first-maximum
-argmax with the winner masked, so ties go to the lowest atom index.  The
-normal equations of all signals of a chunk are solved by the batched
-Cholesky kernel of ``linalg``; only signals whose support holds duplicate or
-near-duplicate atoms (a pivot not above EIGH_PIVOT_MARGIN) go to the
-truncated-eigh solver, which decides whether to truncate.
+thread, and the candidate redraws are made there too, so the bytes do not
+depend on which thread ran a selection.  A learning run has one helper, a
+single-worker executor, and shares it between these selections and the
+fresh batches: batch t+1 is drawn there while iteration t runs, and the
+draw of batch 1 hands its noise and outliers to it (``generate_batch``).
+Thresholding picks the S largest absolute inner products of each signal by
+S rounds of first-maximum argmax with the winner masked, so ties go to the
+lowest atom index.  The normal equations of all signals of a chunk are
+solved by the batched Cholesky kernel of ``linalg``; only signals whose
+support holds duplicate or near-duplicate atoms (a pivot not above
+EIGH_PIVOT_MARGIN) go to the truncated-eigh solver, which decides whether
+to truncate.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from .candidates import (CandidateSet, ReplacementPolicy, draw_candidates,
 from .linalg import (Dictionary, Support, asym_distance, cholesky_append,
                      cholesky_back_substitute, mean_atom_distance, recovery_rate,
                      sign_pm, solve_normal_equations)
-from .signals import SignalBatch, SignalModel, generate_batch, rng_from_seed
+from .signals import (SignalBatch, SignalModel, generate_batch, require_finite,
+                      rng_from_seed)
 
 # Residuals below this fraction of the signal norm count as zero for
 # candidate attribution.
@@ -223,11 +227,7 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     first m-1 sub-batch boundaries, so the candidate atoms end as the ones
     scored by the final window.  Atoms whose raw update stays below
     DEAD_ATOM_FLOOR keep their previous direction and get value 0.
-
-    The selection of sub-batch j+1 runs on ``helper`` (a single-worker
-    executor, opened for this call when not given; see ``_run_ahead``)
-    while this thread runs the update of sub-batch j.  The bytes are those
-    of running every selection on this thread.
+    Selections run ahead on ``helper`` (see the module docstring).
     """
     d, k = dico.d, dico.K
     y_all = batch.signals
@@ -361,11 +361,9 @@ class FreshBatches:
     """Signal source drawing a fresh seeded batch every iteration.
 
     Batch t comes from its own generator, ``rng_from_seed(model.seed, t)``,
-    so it does not depend on iteration t-1.  ``batches`` therefore draws
-    batch t+1 on a helper thread while the caller runs iteration t; the
-    bytes are those of drawing one batch after the other.  No batch past
-    the last iteration is drawn, and a caller that stops early waits for at
-    most the one draw in flight.
+    so it does not depend on iteration t-1 and can be drawn ahead.  No
+    batch past the last iteration is drawn, and a caller that stops early
+    waits for at most the one draw in flight.
     """
 
     def __init__(self, model: SignalModel, n: int):
@@ -378,24 +376,30 @@ class FreshBatches:
 
     def batches(self, iterations: int,
                 helper: Optional[Executor] = None) -> Iterator[SignalBatch]:
-        """The batches of iterations 1..iterations; batch t+1 is drawn on
-        ``helper`` (a single-worker executor, opened here when not given)
-        while the caller works on batch t.
+        """The batches of iterations 1..iterations, through ``_run_ahead``.
 
-        A learning run passes the helper its iterations submit selections
-        to, so the draw and the selections share one thread; a selection
-        queued behind a draw runs on the caller instead.  An error of a
-        draw is raised where its batch is taken.  Closing the generator
-        early waits for the draw in flight.
+        Only the draw of batch 1, which ``_run_ahead`` runs on the caller,
+        hands part of its work to ``helper``, so it calls ``generate_batch``
+        itself rather than ``batch``; the later draws run on the helper.
         """
-        return _run_ahead([partial(self.batch, t) for t in range(1, iterations + 1)],
-                          helper)
+        with ExitStack() as stack:
+            if helper is None:
+                helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+            jobs = [partial(self.batch, t) for t in range(1, iterations + 1)]
+            if jobs:
+                jobs[0] = partial(generate_batch, self.model, self.n,
+                                  rng=rng_from_seed(self.model.seed, 1), helper=helper)
+            yield from _run_ahead(jobs, helper)
 
 
 class FixedCorpus:
-    """Signal source reusing the same batch every iteration (image data)."""
+    """Signal source reusing the same batch every iteration (image data).
+
+    A signal with a NaN or infinite entry raises ValueError.
+    """
 
     def __init__(self, batch: SignalBatch):
+        require_finite(batch.signals)
         self._batch = batch
 
     def batches(self, iterations: int,
@@ -460,9 +464,8 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
     replacement pool is either the candidates learned inside the iteration
     or, with ``candidate_source == "random"``, their fresh random
     initializations (the random-replacement baseline).  Candidates are
-    redrawn from the sphere at the start of every iteration.  The run opens
-    one helper thread, which draws the next fresh batch and runs sub-batch
-    selections; it ends with the run.
+    redrawn from the sphere at the start of every iteration.  The run's one
+    helper thread (see the module docstring) ends with the run.
     """
     if cfg.variant == "adaptive":
         raise ValueError("use run_adaptive for the adaptive variant")

@@ -9,7 +9,9 @@ pure Gaussian outliers.
 
 from __future__ import annotations
 
+import copy
 import math
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -20,6 +22,10 @@ from .linalg import Dictionary
 # Signals per row block of generate_batch: uniform position keys are drawn,
 # and coefficient rows normalized, this many rows at a time.
 KEY_ROWS = 1024
+
+# Signals per column chunk of the clean product of generate_batch; the last
+# chunk also takes the remainder, so no chunk is narrower (see there).
+PRODUCT_COLS = 8 * KEY_ROWS
 
 
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
@@ -167,8 +173,9 @@ class SignalModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std_per_component < 0 or self.outlier_std_per_component < 0:
-            raise ValueError("noise levels must be nonnegative")
+        levels = (self.noise_std_per_component, self.outlier_std_per_component)
+        if not all(math.isfinite(v) and v >= 0 for v in levels):
+            raise ValueError("noise levels must be finite and nonnegative")
         if not (0.0 <= self.outlier_rate < 1.0):
             raise ValueError("outlier rate must lie in [0, 1)")
 
@@ -208,21 +215,84 @@ class SignalBatch:
         return self.signals.shape[1]
 
 
+def require_finite(signals: np.ndarray) -> None:
+    """Raise ValueError naming the first column of the (d, N) ``signals``
+    that has a NaN or infinite entry."""
+    finite = np.isfinite(signals).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"signal column {int(np.argmin(finite))} has a non-finite entry")
+
+
+def _skipped(bitgen: np.random.Philox, words: int) -> np.random.Philox:
+    """A copy of ``bitgen`` moved past its next ``words`` 64-bit outputs.
+
+    Philox turns each counter value into 4 buffered outputs: the copy uses
+    up the rest of the buffer, ``advance`` skips whole counter values, and
+    at most 3 draws step into the next one.
+    """
+    state = bitgen.state
+    skipped = copy.deepcopy(bitgen)
+    buffered = 4 - state["buffer_pos"]
+    if words >= buffered:
+        skipped.advance((words - buffered) // 4)
+        # advance also drops a saved 32-bit half-word, which 64-bit draws keep
+        skipped.state = {**skipped.state, "has_uint32": state["has_uint32"],
+                         "uinteger": state["uinteger"]}
+        words = (words - buffered) % 4
+    skipped.random_raw(words)
+    return skipped
+
+
+def _draw_tail(model: SignalModel, d: int, n: int,
+               rng: Optional[np.random.Generator]):
+    """The draws after the signs, in order: the scaled noise with its
+    normalization, the outlier mask and the outlier values.
+
+    Returns (noise, scale, is_outlier, outliers), None where the model has
+    no such part; ``rng`` may be None when it has neither.
+    """
+    noise = scale = outliers = None
+    if model.noise_std_per_component > 0:
+        noise = rng.standard_normal((d, n))
+        noise *= model.noise_std_per_component
+        scale = np.sqrt(1.0 + np.einsum("ij,ij->j", noise, noise))
+    is_outlier = np.zeros(n, dtype=bool)
+    if model.outlier_rate > 0:
+        is_outlier = rng.random(n) < model.outlier_rate
+        n_out = int(is_outlier.sum())
+        if n_out:
+            outliers = model.outlier_std_per_component * rng.standard_normal((d, n_out))
+    return noise, scale, is_outlier, outliers
+
+
 def generate_batch(model: SignalModel, n: int,
-                   rng: Optional[np.random.Generator] = None) -> SignalBatch:
+                   rng: Optional[np.random.Generator] = None,
+                   helper: Optional[Executor] = None) -> SignalBatch:
     """Draw a batch of n signals from the model.
 
     The draw order is fixed (coefficients, support positions, signs, noise,
     outlier mask, outlier values) so a given generator state always yields
-    the same batch.  The support positions of a signal are the S_max
-    smallest of K uniform keys, taken in increasing key order; the keys are
-    drawn and searched KEY_ROWS signals at a time, which consumes the
-    generator exactly as one (n, K) draw would.
+    the same batch, and ``rng`` ends where drawing in that order leaves it.
+    The support positions of a signal are the S_max smallest of K uniform
+    keys, taken in increasing key order; the keys are drawn and searched
+    KEY_ROWS signals at a time, which consumes the generator exactly as one
+    (n, K) draw would.
+
+    ``rng`` must be a Philox generator (``rng_from_seed``), because the
+    draws from the noise on come from a copy of it moved past the n*K key
+    and n*S_max sign words.  With ``helper``, an executor, that part runs
+    there while this thread draws the keys and signs and forms the clean
+    signals; a part the helper has not started when it is needed runs
+    here.  Either way the bytes are the same.
     """
     if n < 1:
         raise ValueError("need at least one signal")
     if rng is None:
         rng = rng_from_seed(model.seed)
+    if not isinstance(getattr(rng, "bit_generator", None), np.random.Philox):
+        raise TypeError("generate_batch skips ahead in the random stream, so it "
+                        "needs a Philox generator such as rng_from_seed gives, "
+                        f"not {type(getattr(rng, 'bit_generator', rng)).__name__}")
     dico = model.dictionary
     d, k = dico.d, dico.K
     s_max = _model_sparsity(model.coeffs)
@@ -230,44 +300,59 @@ def generate_batch(model: SignalModel, n: int,
         raise ValueError("model sparsity exceeds min(d, K)")
 
     c_rows, sparsities = _draw_coefficient_rows(model.coeffs, k, n, rng)
-    # only the first s_max columns are nonzero; the (n, K) rows, like x
-    # below, are freed early to bound the peak memory of a large batch
+    # only the first s_max columns are nonzero; the (n, K) rows are freed
+    # early to bound the peak memory of a large batch
     coeff_block = c_rows[:, :s_max].copy()
     del c_rows
-    positions = np.empty((n, s_max), dtype=np.int32)
-    for lo in range(0, n, KEY_ROWS):
-        block = positions[lo:lo + KEY_ROWS]
-        keys = rng.random((len(block), k))
-        rows = np.arange(len(block))
-        for r in range(s_max):
-            block[:, r] = np.argmin(keys, axis=1)
-            keys[rows, block[:, r]] = np.inf
-    signs = np.where(rng.random((n, s_max)) < 0.5, -1, 1).astype(np.int8)
 
-    rank = np.arange(s_max)[None, :]
-    active = rank < sparsities[:, None]
+    tail_rng = tail = None
+    if model.noise_std_per_component > 0 or model.outlier_rate > 0:
+        tail_rng = np.random.Generator(_skipped(rng.bit_generator, n * (k + s_max)))
+        if helper is not None:
+            tail = helper.submit(_draw_tail, model, d, n, tail_rng)
+    try:
+        positions = np.empty((n, s_max), dtype=np.int32)
+        for lo in range(0, n, KEY_ROWS):
+            block = positions[lo:lo + KEY_ROWS]
+            keys = rng.random((len(block), k))
+            rows = np.arange(len(block))
+            for r in range(s_max):
+                block[:, r] = np.argmin(keys, axis=1)
+                keys[rows, block[:, r]] = np.inf
+        signs = np.where(rng.random((n, s_max)) < 0.5, -1, 1).astype(np.int8)
 
-    x = np.zeros((n, k), dtype=np.float64)
-    np.put_along_axis(
-        x, positions.astype(np.int64),
-        np.where(active, coeff_block * signs, 0.0), axis=1,
-    )
-    y = dico.atoms @ x.T
-    del x
+        rank = np.arange(s_max)[None, :]
+        active = rank < sparsities[:, None]
+        values = np.where(active, coeff_block * signs, 0.0)
+        # Phi x one column chunk at a time, so no dense (n, K) x exists.
+        # Each chunk must keep the bytes of the whole product.  On OpenBLAS
+        # 0.3.31 a chunk under ~20 columns wide, or one starting off an
+        # 8-column boundary, took other kernel paths and changed the last
+        # bits.  Chunks that start at multiples of PRODUCT_COLS and are at
+        # least that wide kept them for d x K from 4 x 8 to 128 x 192 with
+        # the Sandybridge, Haswell, Zen and SkylakeX-family kernels at 1 and
+        # 2 BLAS threads, though not with the Nehalem kernels at 2 threads.
+        starts = list(range(0, n - PRODUCT_COLS + 1, PRODUCT_COLS)) or [0]
+        y = np.empty((d, n))
+        for lo, hi in zip(starts, starts[1:] + [n]):
+            x = np.zeros((hi - lo, k))
+            np.put_along_axis(x, positions[lo:hi].astype(np.int64), values[lo:hi], axis=1)
+            np.matmul(dico.atoms, x.T, out=y[:, lo:hi])
+        del x, values
 
-    if model.noise_std_per_component > 0:
-        noise = rng.standard_normal((d, n))
-        noise *= model.noise_std_per_component
-        scale = np.sqrt(1.0 + np.einsum("ij,ij->j", noise, noise))
+        noise, scale, is_outlier, outliers = \
+            _draw_tail(model, d, n, tail_rng) if tail is None or tail.cancel() \
+            else tail.result()
+    finally:
+        if tail is not None and not tail.cancel():
+            wait((tail,))
+    if tail_rng is not None:
+        rng.bit_generator.state = tail_rng.bit_generator.state
+    if noise is not None:
         y += noise
         y /= scale
-
-    is_outlier = np.zeros(n, dtype=bool)
-    if model.outlier_rate > 0:
-        is_outlier = rng.random(n) < model.outlier_rate
-        n_out = int(is_outlier.sum())
-        if n_out:
-            y[:, is_outlier] = model.outlier_std_per_component * rng.standard_normal((d, n_out))
+    if outliers is not None:
+        y[:, is_outlier] = outliers
 
     support = np.where(active, positions, -1).astype(np.int32)
     out_signs = np.where(active, signs, 0).astype(np.int8)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from itkrm import engine
+from itkrm import engine, signals
 from itkrm.adaptive import AdaptiveConfig, run_adaptive
 from itkrm.candidates import ReplacementPolicy, draw_candidates
 from itkrm.engine import (EngineConfig, FixedCorpus, FreshBatches,
@@ -740,6 +740,50 @@ def test_iteration_error_leaves_no_prefetch_thread():
         run_learning(make_random_sphere(8, 16, rng_from_seed(1)),
                      FreshBatches(model, 100), EngineConfig(sparsity=3), 5)
     assert threading.active_count() == before
+
+
+def test_first_draw_splits_on_the_helper(monkeypatch):
+    # batch 1, drawn on the caller, hands its noise and outliers to the
+    # helper; the later draws run on the helper with their tails inline
+    calls = []
+    real = signals._draw_tail
+
+    def recording(*args, **kwargs):
+        calls.append(threading.current_thread())
+        return real(*args, **kwargs)
+    monkeypatch.setattr(signals, "_draw_tail", recording)
+    model = _prefetch_model()
+    got = list(FreshBatches(model, 200).batches(3, EagerHelper()))
+    assert len(calls) == 3
+    assert threading.current_thread() not in calls
+    for t, batch in enumerate(got, start=1):
+        want = generate_batch(model, 200, rng=rng_from_seed(model.seed, t))
+        assert batch.signals.tobytes() == want.signals.tobytes()
+        assert batch.truth.is_outlier.tobytes() == want.truth.is_outlier.tobytes()
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_split_draw_learning_finishes(iterations):
+    # the run's helper takes batch 1's tail, then prefetched draws and
+    # selections; a job waiting on a job queued behind it would hang here
+    model = _prefetch_model()
+    init = make_random_sphere(12, 16, rng_from_seed(12))
+    cfg = EngineConfig(sparsity=3, variant="replacement")
+    a, b = (run_learning(init, source(model, 300), cfg, iterations,
+                         reference=model.dictionary,
+                         policy=ReplacementPolicy(0.7, "merge"), seed=5)
+            for source in (FreshBatches, SerialBatches))
+    assert len(a.records) == iterations
+    _same_records(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_corpus_rejects_non_finite_signal(bad):
+    signals_ = np.random.default_rng(0).standard_normal((6, 20))
+    signals_[3, 7] = bad
+    signals_[0, 12] = bad
+    with pytest.raises(ValueError, match="column 7"):
+        FixedCorpus(SignalBatch(signals=signals_))
 
 
 def test_adaptive_iteration_peak_memory():

@@ -1,13 +1,18 @@
+import hashlib
 import math
+import threading
+import time
+from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from itkrm import signals
 from itkrm.linalg import Dictionary, Support, coherence, project_onto_span, recovery_rate
-from itkrm.signals import (KEY_ROWS, BalancedCoefficients, CoefficientMixture,
-                           GeometricCoefficients, SignalModel,
+from itkrm.signals import (KEY_ROWS, PRODUCT_COLS, BalancedCoefficients,
+                           CoefficientMixture, GeometricCoefficients, SignalModel,
                            TwoSparseCoefficients, _draw_coefficient_rows,
-                           _model_sparsity, generate_batch, hadamard_matrix,
+                           _model_sparsity, _skipped, generate_batch, hadamard_matrix,
                            make_dirac_hadamard, make_random_sphere,
                            make_spurious_estimate, noise_std_for_snr,
                            rng_from_seed)
@@ -211,7 +216,8 @@ ORACLE_COEFFS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, KEY_ROWS - 1, KEY_ROWS, 2 * KEY_ROWS + 5])
+@pytest.mark.parametrize("n", [1, KEY_ROWS - 1, KEY_ROWS, 2 * KEY_ROWS + 5,
+                               2 * PRODUCT_COLS + 5, 3 * PRODUCT_COLS - 1])
 @pytest.mark.parametrize("noise,outliers", [(0.0, 0.0), (0.1, 0.0),
                                             (0.0, 0.2), (0.1, 0.2)])
 @pytest.mark.parametrize("coeffs", sorted(ORACLE_COEFFS))
@@ -230,6 +236,165 @@ def test_generate_batch_bytes_match_dense_reference(coeffs, noise, outliers, n):
         assert got[name].dtype == ref.dtype, name
         assert got[name].shape == ref.shape, name
         assert got[name].tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [2 * PRODUCT_COLS + 5, 3 * PRODUCT_COLS - 1])
+def test_clean_product_chunks_keep_whole_product_bytes(n):
+    # at this geometry a product of a few columns, or one starting off an
+    # 8-column boundary, took other BLAS kernels than the whole product and
+    # changed the last bits; the chunks of generate_batch must not
+    dico = make_random_sphere(64, 96, rng_from_seed(8, 1))
+    model = SignalModel(dictionary=dico, coeffs=GeometricCoefficients(0.9, 1.0, 6), seed=8)
+    batch = generate_batch(model, n)
+    t = batch.truth
+    x = np.zeros((n, dico.K))
+    np.put_along_axis(x, t.support.astype(np.int64), t.signs * t.coeffs, axis=1)
+    assert batch.signals.tobytes() == (dico.atoms @ x.T).tobytes()
+
+
+def test_same_seed_bit_identical_batch_pinned():
+    # sha256 of the ground truth of a noisy, outlier-bearing batch of two
+    # product chunks, and of the next 4 raw words of its generator (the
+    # literal was computed before the draw was split across threads).  These
+    # bytes pass through no BLAS call, and this coefficient model takes no
+    # power (np.power's SIMD loop and libm's pow differ in the last bit), so
+    # the literal holds for any BLAS build and thread count.
+    model = SignalModel(dictionary=make_random_sphere(12, 20, rng_from_seed(5, 1)),
+                        coeffs=TwoSparseCoefficients(), noise_std_per_component=0.1,
+                        outlier_rate=0.2, outlier_std_per_component=0.3, seed=21)
+    rng = rng_from_seed(21, 1)
+    t = generate_batch(model, 2 * PRODUCT_COLS + 5, rng=rng).truth
+    h = hashlib.sha256()
+    for a in (t.support, t.signs, t.coeffs, t.sparsity, t.is_outlier,
+              rng.bit_generator.random_raw(4)):
+        h.update(a.tobytes())
+    assert h.hexdigest() == \
+        "a9fab93d6d9e2bf9b0377b972867c1ce0c88e96767ac07f964826673bf425c53"
+
+
+# --- the draw split across two threads ----------------------------------------
+
+def _state(bitgen):
+    st = bitgen.state
+    return (st["state"]["counter"].tobytes(), st["state"]["key"].tobytes(),
+            st["buffer"].tobytes(), st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+@pytest.mark.parametrize("half_word", [False, True])
+@pytest.mark.parametrize("words", range(10))
+@pytest.mark.parametrize("buffer_pos", range(5))
+def test_skip_ahead_gives_the_serial_stream(buffer_pos, words, half_word):
+    serial = np.random.Philox(7)
+    serial.random_raw(4)          # buffer filled and used up
+    serial.state = {**serial.state, "buffer_pos": buffer_pos,
+                    "has_uint32": int(half_word), "uinteger": 12345 if half_word else 0}
+    skipped = _skipped(serial, words)
+    serial.random_raw(words)
+    assert skipped.random_raw(9).tobytes() == serial.random_raw(9).tobytes()
+    assert _state(skipped) == _state(serial)
+
+
+class EagerHelper(Executor):
+    """Runs each job to its end on a thread of its own before ``submit``
+    returns, so a job handed to it never runs on the caller."""
+
+    def submit(self, fn, *args, **kwargs):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(fn, *args, **kwargs)
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A single-worker pool that keeps every future it hands out."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.futures = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.futures.append(super().submit(fn, *args, **kwargs))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def tail_threads(monkeypatch):
+    """The thread of each ``_draw_tail`` call, in call order."""
+    threads = []
+    real = signals._draw_tail
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+    monkeypatch.setattr(signals, "_draw_tail", recording)
+    return threads
+
+
+def _batch_bytes(model, n, helper=None):
+    rng = rng_from_seed(model.seed, n)
+    batch = generate_batch(model, n, rng=rng, helper=helper)
+    t = batch.truth
+    return [a.tobytes() for a in (batch.signals, t.support, t.signs, t.coeffs,
+                                  t.sparsity, t.is_outlier)] + [_state(rng.bit_generator)]
+
+
+@pytest.mark.parametrize("n", [1, 3 * KEY_ROWS + 7, 2 * PRODUCT_COLS + 5])
+@pytest.mark.parametrize("noise,outliers", [(0.0, 0.0), (0.1, 0.0),
+                                            (0.0, 0.2), (0.1, 0.2)])
+def test_split_draw_same_bytes_with_and_without_helper(noise, outliers, n, tail_threads):
+    main = threading.current_thread()
+    model = SignalModel(dictionary=random_dictionary(12, 20, np.random.default_rng(3)),
+                        coeffs=ORACLE_COEFFS["mixture"], noise_std_per_component=noise,
+                        outlier_rate=outliers, outlier_std_per_component=0.3, seed=5)
+    want = _batch_bytes(model, n)
+    assert tail_threads == [main]
+    tail_threads.clear()
+    assert _batch_bytes(model, n, EagerHelper()) == want
+    # a model without noise and outliers has nothing to hand over
+    assert len(tail_threads) == 1
+    assert (tail_threads[0] is main) == (noise == outliers == 0)
+    with ThreadPoolExecutor(max_workers=1) as idle:
+        assert _batch_bytes(model, n, idle) == want
+    with ThreadPoolExecutor(max_workers=1) as blocked:
+        release = threading.Event()
+        blocked.submit(release.wait, 60)
+        tail_threads.clear()
+        try:
+            assert _batch_bytes(model, n, blocked) == want
+        finally:
+            release.set()
+    # the helper was busy, so the tail ran here
+    assert tail_threads == [main]
+
+
+def test_split_draw_error_reaches_caller(monkeypatch):
+    error = RuntimeError("tail failed")
+
+    def failing(*args, **kwargs):
+        time.sleep(0.05)
+        raise error
+    monkeypatch.setattr(signals, "_draw_tail", failing)
+    model = _model(random_dictionary(8, 10, np.random.default_rng(1)), noise=0.1)
+    with RecordingPool() as helper:
+        with pytest.raises(RuntimeError) as info:
+            generate_batch(model, 300, rng=rng_from_seed(1), helper=helper)
+        assert info.value is error
+        assert len(helper.futures) == 1 and helper.futures[0].done()
+
+
+def test_generate_batch_needs_philox():
+    assert isinstance(rng_from_seed(1).bit_generator, np.random.Philox)
+    model = _model(random_dictionary(8, 10, np.random.default_rng(1)))
+    for rng in (np.random.default_rng(1), np.random.Generator(np.random.MT19937(1)),
+                np.random.RandomState(1)):
+        with pytest.raises(TypeError, match="Philox"):
+            generate_batch(model, 10, rng=rng)
+
+
+@pytest.mark.parametrize("field", ["noise_std_per_component", "outlier_std_per_component"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_signal_model_rejects_bad_noise_level(field, value):
+    dico = random_dictionary(8, 10, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        SignalModel(dictionary=dico, coeffs=BalancedCoefficients(2), **{field: value})
 
 
 # --- coefficient statistics of a batch ---------------------------------------
