@@ -130,8 +130,6 @@ def top_s_indices(ip: np.ndarray, s: int,
     k, n = ip.shape
     if s > k:
         raise ValueError("sparsity exceeds the number of atoms")
-    if s == k:
-        return np.tile(np.arange(k, dtype=np.int64)[:, None], (1, n))
     if scratch is None:
         scratch = np.empty((n, k))
     vals = np.abs(ip.T, out=scratch)

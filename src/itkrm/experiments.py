@@ -211,11 +211,7 @@ def record_row(rec: IterationRecord) -> list:
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for rec in trajectory.records:
-            writer.writerow([_fmt(v) for v in record_row(rec)])
+    write_rows_csv(path, TRAJECTORY_COLUMNS, [record_row(r) for r in trajectory.records])
 
 
 def write_rows_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -370,9 +366,16 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def environment() -> dict:
-    """What a run's bytes depend on besides its spec."""
+    """What a run's bytes depend on besides its spec; ``simd`` and ``blas``
+    are None for a numpy whose ``show_config`` has no dict mode."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas")
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "cpu_count": os.cpu_count()}
+           "cpu_count": os.cpu_count(), "simd": config.get("SIMD Extensions"),
+           "blas": {k: blas.get(k) for k in ("name", "version")} if blas else None}
     env.update((name, os.environ.get(name)) for name in BLAS_THREAD_VARS)
     return env
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .linalg import Dictionary
 
-# Signals per row block of generate_batch: uniform position keys are drawn,
-# and coefficient rows normalized, this many rows at a time.
+# Signals per row block of generate_batch: uniform position keys are drawn
+# and searched this many rows at a time.
 KEY_ROWS = 1024
 
 # Signals per column chunk of the clean product of generate_batch; the last
@@ -94,19 +94,14 @@ class CoefficientMixture:
             raise ValueError("mixture weights must sum to 1")
 
     @property
-    def max_sparsity(self) -> int:
-        return max(_model_sparsity(m) for _, m in self.components)
+    def sparsity(self) -> int:
+        """The largest sparsity of any component."""
+        return max(m.sparsity for _, m in self.components)
 
 
 CoefficientModel = Union[
     GeometricCoefficients, TwoSparseCoefficients, BalancedCoefficients, CoefficientMixture
 ]
-
-
-def _model_sparsity(model: CoefficientModel) -> int:
-    if isinstance(model, CoefficientMixture):
-        return model.max_sparsity
-    return model.sparsity
 
 
 def _draw_coefficient_rows(model: CoefficientModel, size: int, n: int,
@@ -149,11 +144,7 @@ def _draw_coefficient_rows(model: CoefficientModel, size: int, n: int,
                 sparsities[rows] = sub_s
     else:
         raise TypeError(f"unknown coefficient model {type(model).__name__}")
-    # each row's norm is reduced alone, so row blocks give the bytes of one
-    # whole-array norm without its (n, size) temporary of squares
-    for lo in range(0, n, KEY_ROWS):
-        block = c[lo:lo + KEY_ROWS]
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
     return c, sparsities
 
 
@@ -295,15 +286,21 @@ def generate_batch(model: SignalModel, n: int,
                         f"not {type(getattr(rng, 'bit_generator', rng)).__name__}")
     dico = model.dictionary
     d, k = dico.d, dico.K
-    s_max = _model_sparsity(model.coeffs)
+    s_max = model.coeffs.sparsity
     if s_max > min(d, k):
         raise ValueError("model sparsity exceeds min(d, K)")
 
-    c_rows, sparsities = _draw_coefficient_rows(model.coeffs, k, n, rng)
-    # only the first s_max columns are nonzero; the (n, K) rows are freed
-    # early to bound the peak memory of a large batch
-    coeff_block = c_rows[:, :s_max].copy()
-    del c_rows
+    # The coefficient rows are drawn 8 * ceil(S_max / 8) columns wide (at
+    # most K) and keep the bytes of rows K wide: numpy sums a contiguous
+    # float64 row into 8 partial sums (every 8th entry each), splitting a row
+    # of over 128 entries in halves at multiples of 8 first.  With S_max <= 64
+    # the nonzeros fall into the same partial sums at both widths and each
+    # zero after them adds exactly +0.0 to the row norm.  Above 64 a halving
+    # may split the nonzeros (K=136 with S_max=72 changed the last bits), so
+    # there the rows are K wide.
+    width = k if s_max > 64 else min(k, 8 * -(-s_max // 8))
+    c_rows, sparsities = _draw_coefficient_rows(model.coeffs, width, n, rng)
+    coeffs = c_rows[:, :s_max]
 
     tail_rng = tail = None
     if model.noise_std_per_component > 0 or model.outlier_rate > 0:
@@ -321,9 +318,8 @@ def generate_batch(model: SignalModel, n: int,
                 keys[rows, block[:, r]] = np.inf
         signs = np.where(rng.random((n, s_max)) < 0.5, -1, 1).astype(np.int8)
 
-        rank = np.arange(s_max)[None, :]
-        active = rank < sparsities[:, None]
-        values = np.where(active, coeff_block * signs, 0.0)
+        active = np.arange(s_max) < sparsities[:, None]
+        values = np.where(active, coeffs * signs, 0.0)
         # Phi x one column chunk at a time, so no dense (n, K) x exists.
         # Each chunk must keep the bytes of the whole product.  On OpenBLAS
         # 0.3.31 a chunk under ~20 columns wide, or one starting off an
@@ -338,7 +334,8 @@ def generate_batch(model: SignalModel, n: int,
             x = np.zeros((hi - lo, k))
             np.put_along_axis(x, positions[lo:hi].astype(np.int64), values[lo:hi], axis=1)
             np.matmul(dico.atoms, x.T, out=y[:, lo:hi])
-        del x, values
+            del x       # so no two chunks' x are alive at once
+        del values
 
         noise, scale, is_outlier, outliers = \
             _draw_tail(model, d, n, tail_rng) if tail is None or tail.cancel() \
@@ -354,21 +351,12 @@ def generate_batch(model: SignalModel, n: int,
     if outliers is not None:
         y[:, is_outlier] = outliers
 
-    support = np.where(active, positions, -1).astype(np.int32)
-    out_signs = np.where(active, signs, 0).astype(np.int8)
-    out_coeffs = np.where(active, coeff_block, 0.0)
-    sparsity = sparsities.astype(np.int32)
-    if is_outlier.any():
-        support[is_outlier] = -1
-        out_signs[is_outlier] = 0
-        out_coeffs[is_outlier] = 0.0
-        sparsity[is_outlier] = 0
-
+    keep = active & ~is_outlier[:, None]
     truth = BatchTruth(
-        support=support,
-        signs=out_signs,
-        coeffs=out_coeffs,
-        sparsity=sparsity,
+        support=np.where(keep, positions, -1).astype(np.int32),
+        signs=np.where(keep, signs, 0).astype(np.int8),
+        coeffs=np.where(keep, coeffs, 0.0),
+        sparsity=np.where(is_outlier, 0, sparsities).astype(np.int32),
         is_outlier=is_outlier,
         noise_std=model.noise_std_per_component,
     )

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import itkrm
 from itkrm import container
 from itkrm.engine import IterationRecord, Trajectory
 from itkrm.experiments import (TRAJECTORY_COLUMNS, ExperimentSpec, SpecError,
@@ -69,12 +73,42 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = run_experiment(tiny_spec(tmp_path, trials=0))
     env = json.loads((out / "manifest.json").read_text())["environment"]
-    assert set(env) == {"python", "numpy", "cpu_count", "OPENBLAS_NUM_THREADS",
-                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert set(env) == {"python", "numpy", "cpu_count", "simd", "blas",
+                        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert env["numpy"] == np.__version__
     assert env["cpu_count"] == os.cpu_count()
     assert env["OMP_NUM_THREADS"] == "3"
     assert env["MKL_NUM_THREADS"] is None
+    config = np.show_config(mode="dicts")
+    assert env["simd"] == config["SIMD Extensions"]
+    blas = config["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+
+def test_manifest_simd_is_the_level_numpy_runs_at():
+    # the level numpy dispatches to at run time, not only the one it was
+    # built for: features turned off by NPY_DISABLE_CPU_FEATURES show as
+    # not found
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found")
+    if not found:
+        pytest.skip("numpy dispatches to no SIMD level above its baseline here")
+    code = ("import json; from itkrm.experiments import environment; "
+            "print(json.dumps(environment()['simd']))")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found),
+           "PYTHONPATH": str(Path(itkrm.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert set(found) <= set(json.loads(out.stdout)["not found"])
+
+
+def test_manifest_environment_without_dict_mode_config(tmp_path, monkeypatch):
+    def show_config():              # numpy before dict mode only prints
+        print("numpy build configuration")
+    monkeypatch.setattr(np, "show_config", show_config)
+    out = run_experiment(tiny_spec(tmp_path, trials=0))
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["simd"] is None and env["blas"] is None
+    assert env["numpy"] == np.__version__
 
 
 def test_plain_recovery_artifacts(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Executor, ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ from itkrm.linalg import Dictionary, Support, coherence, project_onto_span, reco
 from itkrm.signals import (KEY_ROWS, PRODUCT_COLS, BalancedCoefficients,
                            CoefficientMixture, GeometricCoefficients, SignalModel,
                            TwoSparseCoefficients, _draw_coefficient_rows,
-                           _model_sparsity, _skipped, generate_batch, hadamard_matrix,
+                           _skipped, generate_batch, hadamard_matrix,
                            make_dirac_hadamard, make_random_sphere,
                            make_spurious_estimate, noise_std_for_snr,
                            rng_from_seed)
@@ -170,7 +171,7 @@ def reference_generate_batch(model, n, rng):
     """
     dico = model.dictionary
     d, k = dico.d, dico.K
-    s_max = _model_sparsity(model.coeffs)
+    s_max = model.coeffs.sparsity
     c_rows, sparsities = _draw_coefficient_rows(model.coeffs, k, n, rng)
     positions = np.argsort(rng.random((n, k)), axis=1)[:, :s_max].astype(np.int32)
     signs = np.where(rng.random((n, s_max)) < 0.5, -1, 1).astype(np.int8)
@@ -182,7 +183,9 @@ def reference_generate_batch(model, n, rng):
     clean = dico.atoms @ x.T
     if model.noise_std_per_component > 0:
         noise = model.noise_std_per_component * rng.standard_normal((d, n))
-        scale = np.sqrt(1.0 + np.sum(noise * noise, axis=0))
+        # einsum, as the draw: for a single column np.sum reduces the d
+        # squares pairwise instead of in turn, and the last bits may differ
+        scale = np.sqrt(1.0 + np.einsum("ij,ij->j", noise, noise))
         y = (clean + noise) / scale
     else:
         y = clean
@@ -216,14 +219,39 @@ ORACLE_COEFFS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, KEY_ROWS - 1, KEY_ROWS, 2 * KEY_ROWS + 5,
-                               2 * PRODUCT_COLS + 5, 3 * PRODUCT_COLS - 1])
-@pytest.mark.parametrize("noise,outliers", [(0.0, 0.0), (0.1, 0.0),
-                                            (0.0, 0.2), (0.1, 0.2)])
-@pytest.mark.parametrize("coeffs", sorted(ORACLE_COEFFS))
-def test_generate_batch_bytes_match_dense_reference(coeffs, noise, outliers, n):
-    dico = random_dictionary(12, 20, np.random.default_rng(3))
-    model = SignalModel(dictionary=dico, coeffs=ORACLE_COEFFS[coeffs],
+# Wide supports, S_max up to 64: generate_batch draws coefficient rows
+# 8 * ceil(S_max / 8) wide, the reference K wide, and K = 136 and 192 take
+# numpy's recursive pairwise sum (above 128 entries) at width K.
+WIDE_COEFFS = {
+    "paper": GeometricCoefficients(0.9, 1.0, 6),
+    "geometric_9": GeometricCoefficients(0.8, 1.0, 9),
+    "geometric_64": GeometricCoefficients(0.95, 1.0, 64),
+    "mixture_wide": CoefficientMixture(((0.25, GeometricCoefficients(0.97, 1.0, 57)),
+                                        (0.5, BalancedCoefficients(17)),
+                                        (0.25, TwoSparseCoefficients()))),
+}
+
+
+def _dense_reference_cases():
+    """(d, K, coeffs, noise, outliers, n); the wide geometries' ids start
+    with d x K."""
+    for noise, outliers in ((0.0, 0.0), (0.1, 0.0), (0.0, 0.2), (0.1, 0.2)):
+        for n in (1, KEY_ROWS - 1, KEY_ROWS, 2 * KEY_ROWS + 5,
+                  2 * PRODUCT_COLS + 5, 3 * PRODUCT_COLS - 1):
+            for c in sorted(ORACLE_COEFFS):
+                yield pytest.param(12, 20, c, noise, outliers, n,
+                                   id=f"{c}-{noise}-{outliers}-{n}")
+        for d, k in ((64, 136), (128, 192)):
+            for n in (1, KEY_ROWS + 3, PRODUCT_COLS + 5):
+                for c in sorted(WIDE_COEFFS):
+                    yield pytest.param(d, k, c, noise, outliers, n,
+                                       id=f"{d}x{k}-{c}-{noise}-{outliers}-{n}")
+
+
+@pytest.mark.parametrize("d,k,coeffs,noise,outliers,n", _dense_reference_cases())
+def test_generate_batch_bytes_match_dense_reference(d, k, coeffs, noise, outliers, n):
+    dico = random_dictionary(d, k, np.random.default_rng(3))
+    model = SignalModel(dictionary=dico, coeffs={**ORACLE_COEFFS, **WIDE_COEFFS}[coeffs],
                         noise_std_per_component=noise, outlier_rate=outliers,
                         outlier_std_per_component=0.3, seed=21)
     batch = generate_batch(model, n, rng=rng_from_seed(21, n))
@@ -238,6 +266,19 @@ def test_generate_batch_bytes_match_dense_reference(coeffs, noise, outliers, n):
         assert got[name].tobytes() == ref.tobytes(), name
 
 
+@pytest.mark.parametrize("s", [1, 6, 8, 9, 33, 57, 64, 65, 72, 100])
+def test_coefficient_rows_keep_the_bytes_of_width_k(s):
+    # generate_batch draws the rows narrower than K where numpy's summation
+    # order allows (see there); its truth must still be the first columns of
+    # rows drawn K wide
+    for k in range(max(s, 8), 301):
+        model = SignalModel(dictionary=random_dictionary(s, k, np.random.default_rng(k)),
+                            coeffs=GeometricCoefficients(0.9, 1.0, s), seed=k)
+        got = generate_batch(model, 32).truth.coeffs
+        want, _ = _draw_coefficient_rows(model.coeffs, k, 32, rng_from_seed(k))
+        assert got.tobytes() == want[:, :s].tobytes(), k
+
+
 @pytest.mark.parametrize("n", [2 * PRODUCT_COLS + 5, 3 * PRODUCT_COLS - 1])
 def test_clean_product_chunks_keep_whole_product_bytes(n):
     # at this geometry a product of a few columns, or one starting off an
@@ -250,6 +291,24 @@ def test_clean_product_chunks_keep_whole_product_bytes(n):
     x = np.zeros((n, dico.K))
     np.put_along_axis(x, t.support.astype(np.int64), t.signs * t.coeffs, axis=1)
     assert batch.signals.tobytes() == (dico.atoms @ x.T).tobytes()
+
+
+def test_generate_batch_peak_below_half_a_dense_coefficient_matrix():
+    # the coefficient rows are S_max wide (rounded up to 8), and the keys
+    # and the clean product go one block at a time, so no (n, K) array is
+    # ever formed
+    n, d, k = 60000, 16, 192
+    model = SignalModel(dictionary=make_random_sphere(d, k, rng_from_seed(9, 1)),
+                        coeffs=GeometricCoefficients(0.9, 1.0, 6),
+                        noise_std_per_component=noise_std_for_snr(16.0, d),
+                        outlier_rate=0.05, outlier_std_per_component=1.0 / d, seed=9)
+    tracemalloc.start()
+    try:
+        generate_batch(model, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8 / 2
 
 
 def test_same_seed_bit_identical_batch_pinned():
