@@ -1,7 +1,7 @@
 """Orthogonal Matching Pursuit and approximation-quality evaluation.
 
 `omp` is the single-signal reference; `approximation_power` runs Batch-OMP
-with a progressive Cholesky factor over a whole batch of signals.
+with a progressive Cholesky factor over a batch of signals, block by block.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import (Dictionary, Support, cholesky_append,
-                     cholesky_back_substitute, solve_normal_equations)
+from .linalg import (SIGNAL_BLOCK, Dictionary, Support, cholesky_append,
+                     cholesky_back_substitute, column_blocks,
+                     solve_normal_equations)
 from .signals import SignalBatch, require_finite
 
 OMP_RESIDUAL_TOL = 1e-12
@@ -62,8 +63,8 @@ class ApproxReport:
     n_signals: int
 
 
-def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
-                        preselect: Optional[int] = None) -> np.ndarray:
+def _batched_omp_errors(atoms: np.ndarray, gram: np.ndarray, y: np.ndarray,
+                        s_max: int, preselect: Optional[int] = None) -> np.ndarray:
     """Squared residual norms after 1..s_max greedy picks, per signal.
 
     Batch-OMP (R. Rubinstein, M. Zibulevsky, M. Elad, Technion CS-2008-08):
@@ -73,6 +74,7 @@ def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
     residual then falls by z_j^2 per pick.  The next pick maximizes
     |Phi^T y - G gamma| over the atoms not yet taken (ties to the lowest
     index), with gamma = L^-T z: one (N, K) x (K, K) product per pick.
+    ``gram`` is atoms^T atoms.
 
     A pick whose pivot is not above EIG_TRUNCATION lies in the span of the
     atoms already taken (a duplicate atom, or any pick once the support spans
@@ -84,7 +86,6 @@ def _batched_omp_errors(atoms: np.ndarray, y: np.ndarray, s_max: int,
     as one of the s_max picks.
     """
     n = y.shape[1]
-    gram = atoms.T @ atoms
     diag = np.diag(gram)
     alpha0 = y.T @ atoms                        # (N, K): Phi^T y per signal
     steps = ([preselect] if preselect is not None else []) + [None] * s_max
@@ -154,7 +155,15 @@ def approximation_power(dico: Dictionary, batch: SignalBatch,
     s_max = int(levels.max())
     if s_max > min(y.shape[0], atoms.shape[1]):
         raise ValueError("sparsity level exceeds min(d, K)")
-    errors_sq = _batched_omp_errors(atoms, y, s_max, preselect=preselect)
+    # Blocks of SIGNAL_BLOCK signals bound the kernel's (N, K) and
+    # (m, m, N) state.  A signal's errors keep the whole batch's bytes
+    # wherever BLAS gives a column of a product the same bytes at any
+    # product width (README, "Determinism").
+    gram = atoms.T @ atoms
+    errors_sq = np.empty((s_max, y.shape[1]))
+    for lo, hi in column_blocks(y.shape[1], SIGNAL_BLOCK):
+        errors_sq[:, lo:hi] = _batched_omp_errors(atoms, gram, y[:, lo:hi], s_max,
+                                                  preselect=preselect)
     total = float(np.einsum("ij,ij->", y, y))
     rel = errors_sq[levels - 1].sum(axis=1) / total
     return ApproxReport(levels, rel, y.shape[1])

@@ -44,9 +44,10 @@ import numpy as np
 
 from .candidates import (CandidateSet, ReplacementPolicy, draw_candidates,
                          normalize_subbatch, replace_coherent, replace_unused)
-from .linalg import (Dictionary, Support, asym_distance, cholesky_append,
-                     cholesky_back_substitute, mean_atom_distance, recovery_rate,
-                     sign_pm, solve_normal_equations)
+from .linalg import (SIGNAL_BLOCK, Dictionary, Support, asym_distance,
+                     cholesky_append, cholesky_back_substitute,
+                     mean_atom_distance, recovery_rate, sign_pm,
+                     solve_normal_equations)
 from .signals import (SignalBatch, SignalModel, generate_batch, require_finite,
                       rng_from_seed)
 
@@ -122,22 +123,26 @@ def top_s_indices(ip: np.ndarray, s: int,
     lowest index.
 
     Input is (K, N) (inner products); output is (s, N) with each column
-    sorted ascending.  Each of s rounds takes the row-wise argmax of one
-    contiguous (N, K) array of absolute values and masks the winner with
-    -inf; argmax returns the first maximum, so ties go to the lowest index.
-    That array is ``scratch`` when given, a new one otherwise.
+    sorted ascending.  The columns are taken in blocks of SIGNAL_BLOCK: each
+    of s rounds takes the row-wise argmax of one contiguous (block, K) array
+    of absolute values and masks the winner with -inf; argmax returns the
+    first maximum, so ties go to the lowest index.  That array lives in
+    ``scratch``, at least (min(N, SIGNAL_BLOCK), K), when given.
     """
     k, n = ip.shape
     if s > k:
         raise ValueError("sparsity exceeds the number of atoms")
     if scratch is None:
-        scratch = np.empty((n, k))
-    vals = np.abs(ip.T, out=scratch)
-    rows = np.arange(n)
+        scratch = np.empty((min(n, SIGNAL_BLOCK), k))
     picked = np.empty((s, n), dtype=np.int64)
-    for r in range(s):
-        picked[r] = np.argmax(vals, axis=1)
-        vals[rows, picked[r]] = -np.inf
+    for lo in range(0, n, SIGNAL_BLOCK):
+        hi = min(lo + SIGNAL_BLOCK, n)
+        vals = np.abs(ip[:, lo:hi].T, out=scratch[:hi - lo])
+        rows = np.arange(hi - lo)
+        for r in range(s):
+            won = picked[r, lo:hi]
+            np.argmax(vals, axis=1, out=won)
+            vals[rows, won] = -np.inf
     return np.sort(picked, axis=0)
 
 
@@ -159,8 +164,10 @@ def _select(atoms: np.ndarray, gram: np.ndarray, y: np.ndarray, s: int,
     """Selection stage of one sub-batch: threshold the (d, nc) signals ``y``
     and solve their normal equations.
 
-    ``ip`` (K, nc) receives Phi^T y and ``scratch`` (nc, K) its absolute
-    values; the caller owns both and may reuse them once this returns.
+    ``ip`` (K, nc) receives Phi^T y and ``scratch``, (SIGNAL_BLOCK, K) or
+    (nc, K) when smaller, the absolute values of one block of it at a time
+    (``top_s_indices``); the caller owns both and may reuse them once this
+    returns.
     Returns (sel, b, x): the (s, nc) supports, their inner products and
     their coefficients.
     """
@@ -267,19 +274,22 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     sbar_acc = 0
     st_acc = 0
 
-    # The (K, nc) product and its (nc, K) absolute copy are allocated once,
-    # on this thread, and reused by every selection (at most one runs at a
-    # time): arrays the helper allocated stayed in its malloc arena and
-    # raised the peak RSS.
+    # The selections' (K, nc) product and (block, K) absolute copy, and the
+    # update's (K, nc) scatter and (d, nc) product, are allocated once, on
+    # this thread, and reused by every sub-batch (at most one selection
+    # runs at a time): arrays the helper allocated stayed in its malloc
+    # arena and raised the peak RSS, and fresh zeroed (K, nc) temporaries
+    # cost a pass over memory each.
     width = max((hi - lo for lo, hi in chunks), default=0)
     ip_buf = np.empty(k * width)
-    scratch_buf = np.empty(k * width)
+    scratch = np.empty((min(width, SIGNAL_BLOCK), k))
+    scatter_buf = np.zeros(k * width)    # zero outside each update's writes
+    approx_buf = np.empty(d * width)
 
     def select(lo, hi):
         nc = hi - lo
         return _select(atoms, gram, y_all[:, lo:hi], s,
-                       ip_buf[:k * nc].reshape(k, nc),
-                       scratch_buf[:k * nc].reshape(nc, k))
+                       ip_buf[:k * nc].reshape(k, nc), scratch)
 
     jobs = [partial(select, lo, hi) for lo, hi in chunks]
     with closing(_run_ahead(jobs, helper)) as selections:
@@ -287,20 +297,20 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
             y = y_all[:, lo:hi]
             nc = hi - lo
             cols = np.arange(nc)
-            # each (K, nc) temporary goes as soon as it is used, so that
-            # a batch drawn on the helper fits beside the iteration
-            coef = np.zeros((k, nc))
-            coef[sel, cols[None, :]] = x
-            approx = atoms @ coef
-            del coef
-            resid = y - approx
+            # entry (sel[r, i], i) of the (K, nc) scatter, which holds the
+            # coefficients, then their signs, then zeros again
+            flat = sel * nc + cols
+            scatter = scatter_buf[:k * nc].reshape(k, nc)
+            scatter_buf[flat] = x
+            resid = approx_buf[:d * nc].reshape(d, nc)      # Phi x, then y - Phi x
+            np.matmul(atoms, scatter, out=resid)
+            app_sq = np.einsum("ij,ij->j", resid, resid)
+            np.subtract(y, resid, out=resid)
             res_sq = np.einsum("ij,ij->j", resid, resid)
-            app_sq = np.einsum("ij,ij->j", approx, approx)
 
-            signed = np.zeros((k, nc))
-            signed[sel, cols[None, :]] = sign_pm(b)
-            acc += resid @ signed.T
-            del signed
+            scatter_buf[flat] = sign_pm(b)
+            acc += resid @ scatter.T
+            scatter_buf[flat] = 0.0
             colsum += np.bincount(sel.T.ravel(), weights=np.abs(b).T.ravel(),
                                   minlength=k)
 
@@ -310,10 +320,11 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
             if adaptive:
                 theta = (log_theta * res_sq + app_sq) / d
                 coeff_hits = np.count_nonzero(x ** 2 >= theta, axis=0)
-                res_ip = atoms.T @ resid
+                # Phi^T r takes the scatter's storage, zeroed again after
+                res_ip = np.matmul(atoms.T, resid, out=scatter)
                 res_ip **= 2
                 resid_hits = np.count_nonzero(res_ip >= theta[None, :], axis=0)
-                del res_ip
+                res_ip.fill(0.0)
                 sbar_acc += int(coeff_hits.sum() + resid_hits.sum())
                 st_acc += int(coeff_hits.sum())
 

@@ -9,6 +9,7 @@ trials, and the final dictionaries in the binary container format.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import os
@@ -365,9 +366,24 @@ def worker_count() -> int:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _blas_core() -> Optional[str]:
+    """The kernel family ("SkylakeX", "Haswell", ...) numpy's OpenBLAS chose
+    at run time, which decides the BLAS bytes, looked up through numpy's
+    linalg extension; None for a BLAS without scipy-openblas's
+    ``scipy_openblas_get_corename64_``."""
+    try:
+        get = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes = []
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
 def environment() -> dict:
     """What a run's bytes depend on besides its spec; ``simd`` and ``blas``
-    are None for a numpy whose ``show_config`` has no dict mode."""
+    are None for a numpy whose ``show_config`` has no dict mode, and
+    ``blas_core`` for a BLAS that does not report its kernel family."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:
@@ -375,7 +391,8 @@ def environment() -> dict:
     blas = config.get("Build Dependencies", {}).get("blas")
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "cpu_count": os.cpu_count(), "simd": config.get("SIMD Extensions"),
-           "blas": {k: blas.get(k) for k in ("name", "version")} if blas else None}
+           "blas": {k: blas.get(k) for k in ("name", "version")} if blas else None,
+           "blas_core": _blas_core()}
     env.update((name, os.environ.get(name)) for name in BLAS_THREAD_VARS)
     return env
 

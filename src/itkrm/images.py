@@ -101,10 +101,9 @@ def extract_patches(img: np.ndarray, cfg: PatchConfig) -> SignalBatch:
     if p > h or p > w:
         raise ValueError("patch side exceeds the image")
     windows = np.lib.stride_tricks.sliding_window_view(img, (p, p))
-    windows = windows.reshape(-1, p, p)
-    signals = windows.transpose(1, 2, 0).reshape(p * p, -1, order="F")
-    signals = np.ascontiguousarray(signals, dtype=np.float64)
-    signals = signals - signals.mean(axis=0, keepdims=True)
+    # (patch column, patch row, window row, window column), copied once
+    signals = windows.transpose(3, 2, 0, 1).copy().reshape(p * p, -1)
+    signals -= signals.mean(axis=0)
     return SignalBatch(signals=signals, truth=None)
 
 

@@ -17,6 +17,25 @@ NORM_TOL = 1e-10
 # are truncated when solving the normal equations (Moore-Penrose behaviour).
 EIG_TRUNCATION = 1e-10
 
+# Signals per block of the per-signal kernels (top-S thresholding and
+# Batch-OMP): a (block, K) float64 array stays about the size of an L2 cache.
+SIGNAL_BLOCK = 2048
+
+
+def column_blocks(n: int, width: int):
+    """(lo, hi) walls of n columns in blocks that start at multiples of
+    ``width`` and are at least that wide, the last taking the remainder
+    (one block when n < width).
+
+    On OpenBLAS 0.3.31 a product over a block under ~20 columns wide, or
+    one starting off an 8-column boundary, took other kernel paths and
+    changed the last bits; whether these blocks keep the bytes of the whole
+    product depends on the product, the kernel family and the BLAS thread
+    count (README, "Determinism").
+    """
+    starts = list(range(0, n - width + 1, width)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
+
 
 def sign_pm(x):
     """Sign with the convention sign(0) = +1."""

@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .linalg import Dictionary
+from .linalg import Dictionary, column_blocks
 
 # Signals per row block of generate_batch: uniform position keys are drawn
 # and searched this many rows at a time.
@@ -321,16 +321,13 @@ def generate_batch(model: SignalModel, n: int,
         active = np.arange(s_max) < sparsities[:, None]
         values = np.where(active, coeffs * signs, 0.0)
         # Phi x one column chunk at a time, so no dense (n, K) x exists.
-        # Each chunk must keep the bytes of the whole product.  On OpenBLAS
-        # 0.3.31 a chunk under ~20 columns wide, or one starting off an
-        # 8-column boundary, took other kernel paths and changed the last
-        # bits.  Chunks that start at multiples of PRODUCT_COLS and are at
-        # least that wide kept them for d x K from 4 x 8 to 128 x 192 with
-        # the Sandybridge, Haswell, Zen and SkylakeX-family kernels at 1 and
-        # 2 BLAS threads, though not with the Nehalem kernels at 2 threads.
-        starts = list(range(0, n - PRODUCT_COLS + 1, PRODUCT_COLS)) or [0]
+        # Each chunk must keep the bytes of the whole product
+        # (``column_blocks``).  These chunks kept them for d x K from 4 x 8
+        # to 128 x 192 with the Sandybridge, Haswell, Zen and SkylakeX-family
+        # kernels at 1 and 2 BLAS threads, though not with the Nehalem
+        # kernels at 2 threads.
         y = np.empty((d, n))
-        for lo, hi in zip(starts, starts[1:] + [n]):
+        for lo, hi in column_blocks(n, PRODUCT_COLS):
             x = np.zeros((hi - lo, k))
             np.put_along_axis(x, positions[lo:hi].astype(np.int64), values[lo:hi], axis=1)
             np.matmul(dico.atoms, x.T, out=y[:, lo:hi])

@@ -1,4 +1,6 @@
+import ctypes
 import itertools
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itkrm import approx
 from itkrm.approx import _batched_omp_errors, approximation_power, omp
-from itkrm.linalg import Dictionary, solve_normal_equations
+from itkrm.linalg import SIGNAL_BLOCK, Dictionary, solve_normal_equations
 from itkrm.signals import SignalBatch, make_dirac_hadamard
 
 from conftest import random_dictionary
@@ -178,10 +181,10 @@ def _with_flat(atoms):
     return np.hstack([np.full((d, 1), 1.0 / np.sqrt(d)), atoms])
 
 
-def _oracle_case(case, rng):
-    """(atoms, signals, preselect) for one oracle comparison."""
+def _oracle_case(case, rng, n=40):
+    """(atoms, signals, preselect) for one oracle comparison, n signals."""
     atoms = random_dictionary(9, 13, rng).atoms
-    y = rng.standard_normal((9, 40))
+    y = rng.standard_normal((9, n))
     if case == "random":
         return atoms, y, None
     if case in ("flat", "flat_forced"):
@@ -201,18 +204,21 @@ def _oracle_case(case, rng):
         # signal takes both copies, so every signal meets a zero pivot
         atoms = random_dictionary(12, 7, rng).atoms
         atoms[:, 4] = atoms[:, 1]
-        y = rng.standard_normal((12, 40))
+        y = rng.standard_normal((12, n))
         y[:, ::5] = 0.0
         return atoms, y, None
     raise ValueError(case)
 
 
-@pytest.mark.parametrize("case", ["random", "flat", "flat_forced", "zero_columns",
-                                  "in_span", "duplicate_atom"])
+_ORACLE_CASES = ["random", "flat", "flat_forced", "zero_columns", "in_span",
+                 "duplicate_atom"]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
 def test_batched_errors_match_reference(case, rng):
     atoms, y, preselect = _oracle_case(case, rng)
     s_max = min(atoms.shape)
-    got = _batched_omp_errors(atoms, y, s_max, preselect=preselect)
+    got = _batched_omp_errors(atoms, atoms.T @ atoms, y, s_max, preselect=preselect)
     want = reference_batched_omp_errors(atoms, y, s_max, preselect=preselect)
     norms = np.einsum("ij,ij->j", y, y)
     assert got.shape == want.shape == (s_max, y.shape[1])
@@ -231,8 +237,78 @@ def test_batched_errors_bounded_and_nonincreasing(d, k, n, seed, zero_share,
         atoms[:, -1] = atoms[:, 0]
     y = rng.standard_normal((d, n)) * rng.uniform(1e-3, 1e3, n)
     y[:, rng.random(n) < zero_share] = 0.0
-    errs = _batched_omp_errors(atoms, y, min(d, k), preselect=0 if forced else None)
+    errs = _batched_omp_errors(atoms, atoms.T @ atoms, y, min(d, k),
+                              preselect=0 if forced else None)
     norms = np.einsum("ij,ij->j", y, y)
     assert np.all(errs >= 0.0)
     assert np.all(errs <= norms)
     assert np.all(np.diff(errs, axis=0) <= 0.0)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS at one thread for the test, its old count after.
+
+    With more threads OpenBLAS splits a product among them at columns that
+    depend on the product's width, so a block need not give the bytes the
+    whole batch gives (README, "Determinism").
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    try:
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        pytest.skip("numpy's BLAS cannot be set to one thread here")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
+@pytest.mark.parametrize("force_flat", [False, True])
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_blocked_approximation_power_same_bytes_as_whole_batch(
+        case, force_flat, rng, monkeypatch, one_blas_thread):
+    # two blocks, the last one taking the remainder: each block's errors and
+    # the summed report equal one whole-batch Batch-OMP bit for bit
+    atoms, y, _ = _oracle_case(case, rng, n=2 * SIGNAL_BLOCK + 3)
+    s_max = min(atoms.shape[0], atoms.shape[1] + 1)
+    blocks = []
+
+    def recording(*args, **kwargs):
+        blocks.append(_batched_omp_errors(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(approx, "_batched_omp_errors", recording)
+    levels = np.arange(1, s_max + 1)
+    report = approximation_power(Dictionary(atoms), SignalBatch(signals=y), levels,
+                                 augment_flat=True, force_flat=force_flat)
+    full = _with_flat(atoms)
+    whole = _batched_omp_errors(full, full.T @ full, y, s_max,
+                                preselect=0 if force_flat else None)
+    assert [b.shape[1] for b in blocks] == [SIGNAL_BLOCK, SIGNAL_BLOCK + 3]
+    assert np.array_equal(np.hstack(blocks), whole)
+    want = whole.sum(axis=1) / np.einsum("ij,ij->", y, y)
+    assert np.array_equal(report.relative_errors, want)
+
+
+def test_approximation_power_peak_does_not_grow_with_batch(rng):
+    # only the (s_max, N) errors grow with N (and their per-level copy);
+    # whole-batch Batch-OMP state grows by about 1.2 kB per signal here
+    d, k, s_max = 16, 24, 8
+    dico = random_dictionary(d, k, rng)
+    peaks = []
+    for n in (2 * SIGNAL_BLOCK + 1, 8 * SIGNAL_BLOCK + 3):
+        batch = SignalBatch(signals=rng.standard_normal((d, n)))
+        tracemalloc.start()
+        try:
+            approximation_power(dico, batch, range(1, s_max + 1))
+            peaks.append((n, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (n1, p1), (n2, p2) = peaks
+    assert p2 - p1 <= 2 * 8 * s_max * (n2 - n1)

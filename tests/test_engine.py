@@ -17,7 +17,7 @@ from itkrm.candidates import ReplacementPolicy, draw_candidates
 from itkrm.engine import (EngineConfig, FixedCorpus, FreshBatches,
                           round_half_up, run_iteration, run_learning,
                           threshold_support, top_s_indices)
-from itkrm.linalg import Dictionary, Support, asym_distance
+from itkrm.linalg import SIGNAL_BLOCK, Dictionary, Support, asym_distance
 from itkrm.signals import (BalancedCoefficients, GeometricCoefficients,
                            SignalBatch, SignalModel, TwoSparseCoefficients,
                            generate_batch, make_dirac_hadamard,
@@ -125,6 +125,23 @@ def test_top_s_indices_matches_stable_sort_oracle(case):
     assert got.dtype == np.int64
     assert np.array_equal(got, _top_s_oracle(np.abs(a), s))
     assert np.array_equal(a, before)       # the input is not modified
+
+
+@pytest.mark.parametrize("n", [SIGNAL_BLOCK - 1, SIGNAL_BLOCK, SIGNAL_BLOCK + 1,
+                               2 * SIGNAL_BLOCK + 3])
+@pytest.mark.parametrize("scratch_rows", [None, SIGNAL_BLOCK])
+def test_top_s_indices_blocks_match_stable_sort_oracle(n, scratch_rows):
+    # a small value set makes ties in most columns, among them the columns
+    # on either side of each block wall; a scratch of one block is smaller
+    # than every n past a block
+    k, s = 11, 4
+    rng = np.random.default_rng(n)
+    a = rng.choice([0.0, 0.5, 1.0, 2.0], size=(k, n)) * rng.choice([-1.0, 1.0], (k, n))
+    for wall in range(SIGNAL_BLOCK, n, SIGNAL_BLOCK):
+        a[:, wall - 1] = a[:, wall] = np.r_[1.0, -2.0, 2.0, 1.0, -1.0, np.zeros(k - 5)]
+    scratch = None if scratch_rows is None else np.full((scratch_rows, k), np.nan)
+    got = top_s_indices(a, s, scratch)
+    assert np.array_equal(got, _top_s_oracle(np.abs(a), s))
 
 
 # --- per-signal reference ---------------------------------------------------
@@ -787,10 +804,12 @@ def test_fixed_corpus_rejects_non_finite_signal(bad):
 
 
 def test_adaptive_iteration_peak_memory():
-    # (K, nc) temporaries are freed once used, so that a batch drawn on the
-    # prefetch thread fits beside the iteration: one adaptive iteration
-    # peaks at about 2.8 of them (6.8 when each lived to the end of its
-    # sub-batch and thresholding made a second absolute copy).
+    # The update reuses one zeroed (K, nc) scatter, also for Phi^T r, so
+    # that a batch drawn on the prefetch thread fits beside the iteration:
+    # one adaptive iteration peaks at about 3.9 (K, nc) arrays, the product
+    # and the absolute copy of the selection running ahead included (6.8
+    # when each temporary lived to the end of its sub-batch and
+    # thresholding made a second absolute copy).
     d, k, n, m = 16, 128, 4000, 4
     model = SignalModel(dictionary=make_random_sphere(d, k, rng_from_seed(1)),
                         coeffs=GeometricCoefficients(0.9, 1.0, 3),
@@ -807,3 +826,27 @@ def test_adaptive_iteration_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * k * (n // m) * 8
+
+
+def test_replacement_iteration_peak_memory():
+    # Sub-batches four blocks wide: thresholding holds one (SIGNAL_BLOCK, K)
+    # block of absolute values, and the update reuses one zeroed (K, nc)
+    # scatter, so one replacement iteration peaks at about 2.9 (K, nc)
+    # arrays (3.7 with an (nc, K) absolute copy and fresh zeroed (K, nc)
+    # temporaries per sub-batch).
+    d, k, m = 16, 128, 4
+    n = m * 4 * SIGNAL_BLOCK
+    model = SignalModel(dictionary=make_random_sphere(d, k, rng_from_seed(1)),
+                        coeffs=GeometricCoefficients(0.9, 1.0, 3),
+                        noise_std_per_component=0.02, seed=3)
+    batch = generate_batch(model, n, rng=rng_from_seed(3, 1))
+    init = make_random_sphere(d, k, rng_from_seed(2))
+    cfg = EngineConfig(sparsity=3, variant="replacement", candidate_subbatches=m)
+    cands = draw_candidates(d, 3, rng_from_seed(4))
+    tracemalloc.start()
+    try:
+        run_iteration(init, batch, cfg, candidates=cands, rng=rng_from_seed(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * k * (n // m) * 8

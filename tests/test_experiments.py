@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import itkrm
-from itkrm import container
+from itkrm import container, experiments
 from itkrm.engine import IterationRecord, Trajectory
 from itkrm.experiments import (TRAJECTORY_COLUMNS, ExperimentSpec, SpecError,
                                aggregate_trajectories, coefficient_model,
@@ -73,7 +74,7 @@ def test_manifest_records_environment(tmp_path, monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = run_experiment(tiny_spec(tmp_path, trials=0))
     env = json.loads((out / "manifest.json").read_text())["environment"]
-    assert set(env) == {"python", "numpy", "cpu_count", "simd", "blas",
+    assert set(env) == {"python", "numpy", "cpu_count", "simd", "blas", "blas_core",
                         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
     assert env["numpy"] == np.__version__
     assert env["cpu_count"] == os.cpu_count()
@@ -99,6 +100,32 @@ def test_manifest_simd_is_the_level_numpy_runs_at():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert set(found) <= set(json.loads(out.stdout)["not found"])
+
+
+def test_manifest_blas_core_is_the_kernel_family_openblas_runs():
+    # the family OpenBLAS picked at run time, not the build target that
+    # show_config reports: forcing one through OPENBLAS_CORETYPE shows it
+    if experiments._blas_core() is None:
+        pytest.skip("numpy's BLAS does not report its kernel family")
+    code = ("import json; from itkrm.experiments import environment; "
+            "print(json.dumps(environment()['blas_core']))")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": str(Path(itkrm.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == "Sandybridge"
+
+
+@pytest.mark.parametrize("lookup", ["missing_symbol", "no_library"])
+def test_manifest_blas_core_none_without_the_symbol(tmp_path, monkeypatch, lookup):
+    def cdll(path):
+        if lookup == "no_library":
+            raise OSError(f"{path}: cannot open shared object file")
+        return types.SimpleNamespace()          # a library without the symbol
+    monkeypatch.setattr(experiments.ctypes, "CDLL", cdll)
+    out = run_experiment(tiny_spec(tmp_path, trials=0))
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["blas_core"] is None
 
 
 def test_manifest_environment_without_dict_mode_config(tmp_path, monkeypatch):

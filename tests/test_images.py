@@ -155,6 +155,26 @@ def test_patch_means_removed(rng):
     assert np.abs(batch.signals.mean(axis=0)).max() <= 1e-12
 
 
+def _patches_by_window_copies(img, p):
+    """The patch matrix as built through three full copies before the
+    single-copy construction; its bytes are the reference."""
+    windows = np.lib.stride_tricks.sliding_window_view(img, (p, p)).reshape(-1, p, p)
+    signals = windows.transpose(1, 2, 0).reshape(p * p, -1, order="F")
+    signals = np.ascontiguousarray(signals, dtype=np.float64)
+    return signals - signals.mean(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("shape, p", [((256, 256), 8), ((37, 53), 5), ((9, 9), 1),
+                                      ((7, 7), 7), ((10, 3), 3), ((1, 1), 1)])
+def test_patches_same_bytes_as_window_copies(shape, p):
+    img = np.random.default_rng(p).random(shape)
+    signals = extract_patches(img, PatchConfig(patch_side=p)).signals
+    want = _patches_by_window_copies(img, p)
+    assert signals.shape == want.shape
+    assert signals.flags.c_contiguous and signals.flags.writeable
+    assert signals.tobytes() == want.tobytes()
+
+
 def test_patch_too_large_raises():
     with pytest.raises(ValueError):
         extract_patches(np.zeros((4, 4)), PatchConfig(patch_side=5))
