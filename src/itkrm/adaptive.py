@@ -9,18 +9,14 @@ moves the working sparsity level one step towards the batch estimate.
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, replace as dc_replace
 from typing import Optional
 
 import numpy as np
 
 from .candidates import CandidateSet, combine_atoms, draw_candidates
-from .engine import (EngineConfig, IterationRecord, Trajectory,
-                     default_candidate_count, metrics_against, round_half_up,
-                     run_iteration)
+from .engine import (EngineConfig, Trajectory, default_candidate_count,
+                     learning_loop, round_half_up, run_iteration)
 from .linalg import Dictionary, sign_pm
 from .signals import rng_from_seed
 
@@ -165,7 +161,7 @@ def add_atoms(dico: Dictionary, window: np.ndarray, cands: CandidateSet,
 def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
                  iterations: int, *, reference: Optional[Dictionary] = None,
                  recovery_threshold: float = 0.99, seed: int = 0) -> Trajectory:
-    """Full adaptive learning loop.
+    """Adaptive learning: ``engine.learning_loop`` with the adaptive step.
 
     Per iteration: engine pass with adaptive counters and fresh candidates,
     coherent-pair pruning (every iteration), unused-atom pruning of at most
@@ -175,57 +171,40 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     score window holds each atom's scores of the last m = round(log d)
     iterations; an added atom's row starts full of ``min_observations``, so
     it cannot be pruned as unused during its first m iterations.  The
-    sparsity level starts at 1.  As in ``run_learning``, the run has one
-    helper thread (see ``engine``).
+    sparsity level starts at 1.
     """
     d = dico0.d
     cfg = cfg.resolve(d)
     rng = rng_from_seed(seed, 0xADA)
     m = default_candidate_count(d)
     max_pruned = max(1, round_half_up(d / 5))
-    dico = dico0
-    window = np.zeros((dico.K, m), dtype=np.int64)
+    window = np.zeros((dico0.K, m), dtype=np.int64)
     level = 1
-    traj = Trajectory()
-    t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=1) as helper, \
-            closing(signal_source.batches(iterations, helper)) as batches:
-        for t, batch in enumerate(batches, start=1):
-            engine_cfg = EngineConfig(
-                sparsity=min(level, d, dico.K),
-                variant="adaptive",
-                candidate_subbatches=m,
-                min_observations=cfg.min_observations,
-            )
-            cands = draw_candidates(d, m, rng)
-            out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng,
-                                helper=helper)
-            dico = out.new_dictionary
-            window = np.column_stack([out.atom_scores, window[:, :-1]])
-            dico, window, merges = prune_coherent(dico, window, cfg.mu_max)
-            pruned = 0
-            if t >= 2 * m:
-                dico, window, pruned = prune_unused(
-                    dico, window, cfg.min_observations, max_pruned)
-            added = 0
-            if m <= t <= iterations - cfg.freeze_add_tail:
-                dico, window, added = add_atoms(
-                    dico, window, cands, cfg.mu_max,
-                    cfg.candidate_add_threshold, cfg.min_observations)
-            s_bar_raw = out.sparsity_accumulator / out.signals_used
-            if t >= m:
-                level = update_sparsity(level, out.s_bar, max_level=min(d, dico.K))
-            else:
-                level = min(level, max(1, min(d, dico.K)))
-            dist, mean_dist, rate = metrics_against(reference, dico, recovery_threshold)
-            now = time.perf_counter()
-            traj.records.append(IterationRecord(
-                iteration=t, distance=dist, mean_atom_distance=mean_dist,
-                recovery_rate=rate, n_atoms=dico.K, sparsity=level,
-                s_bar=out.s_bar, replaced=0, pruned=merges + pruned, added=added,
-                wallclock_ms=(now - t0) * 1e3,
-                s_bar_raw=s_bar_raw, s_t=out.s_t, merges=merges,
-                pruned_unused=pruned))
-            t0 = now
-    traj.dictionary = dico
-    return traj
+
+    def step(t, dico, batch, helper):
+        nonlocal window, level
+        engine_cfg = EngineConfig(sparsity=min(level, d, dico.K), variant="adaptive",
+                                  min_observations=cfg.min_observations)
+        cands = draw_candidates(d, m, rng)
+        out = run_iteration(dico, batch, engine_cfg, candidates=cands, rng=rng,
+                            helper=helper)
+        window = np.column_stack([out.atom_scores, window[:, :-1]])
+        dico, window, merges = prune_coherent(out.new_dictionary, window, cfg.mu_max)
+        pruned = 0
+        if t >= 2 * m:
+            dico, window, pruned = prune_unused(
+                dico, window, cfg.min_observations, max_pruned)
+        added = 0
+        if m <= t <= iterations - cfg.freeze_add_tail:
+            dico, window, added = add_atoms(
+                dico, window, cands, cfg.mu_max,
+                cfg.candidate_add_threshold, cfg.min_observations)
+        if t >= m:    # until then the level stays 1
+            level = update_sparsity(level, out.s_bar, max_level=min(d, dico.K))
+        return dico, {"sparsity": level, "s_bar": out.s_bar,
+                      "pruned": merges + pruned, "added": added,
+                      "s_bar_raw": out.sparsity_accumulator / out.signals_used,
+                      "s_t": out.s_t, "merges": merges, "pruned_unused": pruned}
+
+    return learning_loop(dico0, signal_source, iterations, step,
+                         reference=reference, recovery_threshold=recovery_threshold)

@@ -1,4 +1,4 @@
-"""Core learning engine: thresholding, residual means and full iterations.
+"""Core learning engine: thresholding, residual means, iterations and runs.
 
 One iteration processes every signal of a batch: threshold to the sparsity
 level, project, and push each selected atom towards its signed residual plus
@@ -7,7 +7,9 @@ maintains atom value counters (replacement: every selection counts;
 adaptive: only selections whose coefficient clears a noise-calibrated
 threshold), learns replacement candidates from the residuals in sub-batches,
 and accumulates the recoverable-sparsity estimate that drives the adaptive
-sparsity update.
+sparsity update.  Every run is one ``learning_loop``: its step runs the
+iteration, then, in ``run_learning``, coherent and unused atom replacement,
+or, in ``adaptive.run_adaptive``, pruning, adding and the sparsity step.
 
 The batched implementation walks the signals in sub-batch chunks whose walls
 coincide with the candidate renormalization boundaries, and adds each chunk's
@@ -17,9 +19,9 @@ and the signals, so the selection of chunk j+1 runs on a helper thread
 while the calling thread runs the update of chunk j (residuals, sums,
 counters, candidates); every sum is added in chunk order on the calling
 thread, and the candidate redraws are made there too, so the bytes do not
-depend on which thread ran a selection.  A learning run has one helper, a
-single-worker executor, and shares it between these selections and the
-fresh batches: batch t+1 is drawn there while iteration t runs, and the
+depend on which thread ran a selection.  The loop opens the run's one
+helper, a single-worker executor, and shares it between these selections and
+the fresh batches: batch t+1 is drawn there while iteration t runs, and the
 draw of batch 1 hands its noise and outliers to it (``generate_batch``).
 Thresholding picks the S largest absolute inner products of each signal by
 S rounds of first-maximum argmax with the winner masked, so ties go to the
@@ -388,17 +390,14 @@ class FreshBatches:
         """The batches of iterations 1..iterations, through ``_run_ahead``.
 
         Only the draw of batch 1, which ``_run_ahead`` runs on the caller,
-        hands part of its work to ``helper``, so it calls ``generate_batch``
-        itself rather than ``batch``; the later draws run on the helper.
+        hands part of its work to ``helper`` (when given), so it calls
+        ``generate_batch`` itself; the later draws run on the helper.
         """
-        with ExitStack() as stack:
-            if helper is None:
-                helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            jobs = [partial(self.batch, t) for t in range(1, iterations + 1)]
-            if jobs:
-                jobs[0] = partial(generate_batch, self.model, self.n,
-                                  rng=rng_from_seed(self.model.seed, 1), helper=helper)
-            yield from _run_ahead(jobs, helper)
+        jobs = [partial(self.batch, t) for t in range(1, iterations + 1)]
+        if jobs:
+            jobs[0] = partial(generate_batch, self.model, self.n,
+                              rng=rng_from_seed(self.model.seed, 1), helper=helper)
+        yield from _run_ahead(jobs, helper)
 
 
 class FixedCorpus:
@@ -417,9 +416,9 @@ class FixedCorpus:
             yield self._batch
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IterationRecord:
-    """One trajectory row; optional metrics stay None without a reference."""
+    """One trajectory row; a field the run does not set keeps its default."""
 
     iteration: int
     distance: Optional[float]
@@ -427,10 +426,10 @@ class IterationRecord:
     recovery_rate: Optional[float]
     n_atoms: int
     sparsity: int
-    s_bar: Optional[int]
-    replaced: int
-    pruned: int
-    added: int
+    s_bar: Optional[int] = None
+    replaced: int = 0
+    pruned: int = 0
+    added: int = 0
     wallclock_ms: float              # since the previous record, batch wait included
     s_bar_raw: Optional[float] = None
     s_t: Optional[float] = None
@@ -450,13 +449,33 @@ class Trajectory:
         return self.records[-1] if self.records else None
 
 
-def metrics_against(reference: Optional[Dictionary], estimate: Dictionary,
-                    threshold: float):
-    if reference is None:
-        return None, None, None
-    dist, _ = asym_distance(reference, estimate)
-    return dist, mean_atom_distance(reference, estimate), \
-        recovery_rate(reference, estimate, threshold)
+def learning_loop(dico: Dictionary, signal_source, iterations: int, step: Callable, *,
+                  reference: Optional[Dictionary], recovery_threshold: float,
+                  stop_at_full_recovery: bool = False) -> Trajectory:
+    """Run ``step(t, dico, batch, helper) -> (dico, record fields)`` on each
+    batch and record it; the helper ends with the run, also on an error, and
+    the metrics against ``reference`` stay None without one."""
+    traj = Trajectory()
+    t0 = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=1) as helper, \
+            closing(signal_source.batches(iterations, helper)) as batches:
+        for t, batch in enumerate(batches, start=1):
+            dico, record_fields = step(t, dico, batch, helper)
+            dist = mean_dist = rate = None
+            if reference is not None:
+                dist, _ = asym_distance(reference, dico)
+                mean_dist = mean_atom_distance(reference, dico)
+                rate = recovery_rate(reference, dico, recovery_threshold)
+            now = time.perf_counter()
+            traj.records.append(IterationRecord(
+                iteration=t, distance=dist, mean_atom_distance=mean_dist,
+                recovery_rate=rate, n_atoms=dico.K,
+                wallclock_ms=(now - t0) * 1e3, **record_fields))
+            t0 = now
+            if stop_at_full_recovery and rate is not None and rate >= 1.0:
+                break
+    traj.dictionary = dico
+    return traj
 
 
 def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
@@ -473,8 +492,7 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
     replacement pool is either the candidates learned inside the iteration
     or, with ``candidate_source == "random"``, their fresh random
     initializations (the random-replacement baseline).  Candidates are
-    redrawn from the sphere at the start of every iteration.  The run's one
-    helper thread (see the module docstring) ends with the run.
+    redrawn from the sphere at the start of every iteration.
     """
     if cfg.variant == "adaptive":
         raise ValueError("use run_adaptive for the adaptive variant")
@@ -483,39 +501,26 @@ def run_learning(dico0: Dictionary, signal_source, cfg: EngineConfig,
     if candidate_source not in ("learned", "random"):
         raise ValueError(f"unknown candidate source {candidate_source!r}")
     rng = rng_from_seed(seed, 0x1752)
-    dico = dico0
-    traj = Trajectory()
-    t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=1) as helper, \
-            closing(signal_source.batches(iterations, helper)) as batches:
-        for t, batch in enumerate(batches, start=1):
-            replaced = 0
-            if cfg.variant == "replacement":
-                cands = draw_candidates(dico.d, default_candidate_count(dico.d), rng)
-                learned = cands if candidate_source == "learned" else None
-                out = run_iteration(dico, batch, cfg, candidates=learned, rng=rng,
-                                    helper=helper)
-                dico = out.new_dictionary
-                events: List[tuple] = []
-                dico, v, pool, replaced = replace_coherent(dico, out.atom_scores,
-                                                           cands, policy,
-                                                           event_log=events)
-                dico, swapped = replace_unused(dico, v, pool, policy,
-                                               event_log=events)
-                replaced += swapped
-                traj.replacement_events += [(t,) + ev for ev in events]
-            else:
-                out = run_iteration(dico, batch, cfg, helper=helper)
-                dico = out.new_dictionary
-            dist, mean_dist, rate = metrics_against(reference, dico, recovery_threshold)
-            now = time.perf_counter()
-            traj.records.append(IterationRecord(
-                iteration=t, distance=dist, mean_atom_distance=mean_dist,
-                recovery_rate=rate, n_atoms=dico.K, sparsity=cfg.sparsity,
-                s_bar=None, replaced=replaced, pruned=0, added=0,
-                wallclock_ms=(now - t0) * 1e3))
-            t0 = now
-            if stop_at_full_recovery and rate is not None and rate >= 1.0:
-                break
-    traj.dictionary = dico
+    events: List[tuple] = []
+
+    def step(t, dico, batch, helper):
+        if cfg.variant != "replacement":
+            out = run_iteration(dico, batch, cfg, helper=helper)
+            return out.new_dictionary, {"sparsity": cfg.sparsity}
+        cands = draw_candidates(dico.d, default_candidate_count(dico.d), rng)
+        learned = cands if candidate_source == "learned" else None
+        out = run_iteration(dico, batch, cfg, candidates=learned, rng=rng,
+                            helper=helper)
+        log: List[tuple] = []
+        dico, v, pool, replaced = replace_coherent(out.new_dictionary,
+                                                   out.atom_scores, cands, policy,
+                                                   event_log=log)
+        dico, swapped = replace_unused(dico, v, pool, policy, event_log=log)
+        events.extend((t,) + ev for ev in log)
+        return dico, {"sparsity": cfg.sparsity, "replaced": replaced + swapped}
+
+    traj = learning_loop(dico0, signal_source, iterations, step,
+                         reference=reference, recovery_threshold=recovery_threshold,
+                         stop_at_full_recovery=stop_at_full_recovery)
+    traj.replacement_events = events
     return traj

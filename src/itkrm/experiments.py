@@ -118,8 +118,13 @@ class ExperimentSpec:
             raise SpecError("iterations/signals: out of range")
         if not (0 < self.recovery_threshold <= 1):
             raise SpecError("recovery_threshold: must lie in (0, 1]")
+        if not all(0 < eps <= math.sqrt(2) for eps in self.epsilons):
+            raise SpecError("epsilons: must lie in (0, sqrt(2)]")
         if self.init_kind not in ("random", "spurious"):
             raise SpecError(f"init_kind: unknown value {self.init_kind!r}")
+        if self.scenario == "fixedpoint_probe" and self.init_kind == "spurious" \
+                and 3 * self.spurious_triples > self.scaled().n_atoms:
+            raise SpecError("spurious_triples: 3 * spurious_triples exceeds n_atoms")
         if self.scenario == "adaptive_image" and not self.image_path:
             raise SpecError("image_path: required for adaptive_image")
         if self.min_obs not in ("d", "dlogd", "2dlogd") and not _is_int(self.min_obs):
@@ -254,15 +259,10 @@ def aggregate_trajectories(trajectories: List[Trajectory]):
 # scenarios (one trial each)
 
 
-def _initial_estimate(spec: ExperimentSpec, generating: Dictionary,
-                      trial: int) -> Dictionary:
-    k_init = spec.init_atoms if spec.init_atoms is not None else spec.n_atoms
-    if spec.scenario == "fixedpoint_probe" and spec.init_kind == "spurious":
-        triples = [(3 * i, 3 * i + 2, 3 * i + 1)
-                   for i in range(spec.spurious_triples)]
-        return make_spurious_estimate(generating, triples)
-    return make_random_sphere(spec.d, k_init,
-                              rng_from_seed(derive_seed(spec.seed, 0x171, trial)))
+def _random_init(spec: ExperimentSpec, d: int, k_init: int, trial: int) -> Dictionary:
+    """The trial's random initial estimate: ``init_atoms`` atoms, else k_init."""
+    k = spec.init_atoms if spec.init_atoms is not None else k_init
+    return make_random_sphere(d, k, rng_from_seed(derive_seed(spec.seed, 0x171, trial)))
 
 
 def _adaptive_config(spec: ExperimentSpec, d: int) -> AdaptiveConfig:
@@ -275,11 +275,11 @@ def run_trial(spec: ExperimentSpec, trial: int):
     generating = generating_dictionary(spec)
     model_seed_source = FreshBatches(signal_model(spec, generating, trial),
                                      spec.signals)
-    init = _initial_estimate(spec, generating, trial)
+    init = _random_init(spec, spec.d, spec.n_atoms, trial)
     trajectories: List[Tuple[str, Trajectory]] = []
     rows: List[list] = []
 
-    def learn(label: str) -> Trajectory:
+    def learn(label: str, init: Dictionary) -> Trajectory:
         """Plain learning for "plain"/"none", else candidate replacement
         from the learned ("candidate") or random ("random") pool."""
         replacing = label in ("candidate", "random")
@@ -294,14 +294,17 @@ def run_trial(spec: ExperimentSpec, trial: int):
             seed=derive_seed(spec.seed, 0xE, trial))
 
     if spec.scenario in ("plain_recovery", "fixedpoint_probe"):
-        traj = learn("plain")
+        if spec.scenario == "fixedpoint_probe" and spec.init_kind == "spurious":
+            init = make_spurious_estimate(generating, [
+                (3 * i, 3 * i + 2, 3 * i + 1) for i in range(spec.spurious_triples)])
+        traj = learn("plain", init)
         trajectories.append(("plain", traj))
         if traj.final_record is not None:
             recovered = int(round(traj.final_record.recovery_rate * generating.K))
             rows.append([trial, recovered, generating.K])
 
     elif spec.scenario == "replacement_compare":
-        trajectories += [(label, learn(label)) for label in spec.compare]
+        trajectories += [(label, learn(label, init)) for label in spec.compare]
 
     elif spec.scenario == "adaptive_synthetic":
         traj = run_adaptive(init, model_seed_source,
@@ -317,11 +320,9 @@ def run_trial(spec: ExperimentSpec, trial: int):
                               rng_from_seed(derive_seed(spec.seed, 0x10, trial)))
         patches = extract_patches(img, PatchConfig(patch_side=spec.patch_side))
         d = spec.patch_side ** 2
-        k_init = spec.init_atoms if spec.init_atoms is not None else 64
-        init = make_random_sphere(
-            d, k_init, rng_from_seed(derive_seed(spec.seed, 0x171, trial)))
-        traj = run_adaptive(init, FixedCorpus(patches), _adaptive_config(spec, d),
-                            spec.iterations, seed=derive_seed(spec.seed, 0xE, trial))
+        traj = run_adaptive(_random_init(spec, d, 64, trial), FixedCorpus(patches),
+                            _adaptive_config(spec, d), spec.iterations,
+                            seed=derive_seed(spec.seed, 0xE, trial))
         trajectories.append(("adaptive", traj))
         clean_patches = extract_patches(clean,
                                         PatchConfig(patch_side=spec.patch_side))

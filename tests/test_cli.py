@@ -79,6 +79,24 @@ def test_cli_spec_error_exit_code(tmp_path, capsys):
     assert "mu_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["--scenario", "contraction_sweep", "--epsilons", "2.0"], "epsilons"),
+    (["--scenario", "contraction_sweep", "--epsilons", "0"], "epsilons"),
+    (["--init-kind", "spurious", "--spurious-triples", "20", "--K", "48"],
+     "spurious_triples"),
+    # 3 triples fit in K=12, not in the K=6 left after scaling
+    (["--init-kind", "spurious", "--spurious-triples", "3", "--K", "12",
+      "--scale", "0.5"], "spurious_triples"),
+])
+def test_cli_probe_spec_error_exit_code(argv, field, tmp_path, capsys):
+    out = tmp_path / "probe"
+    code = main(["probe", *argv, "--d", "32", "--N", "200", "--trials", "1",
+                 "--output", str(out)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     code = main(["eval", "--dict", str(tmp_path / "missing.dict"),
                  "--image", str(tmp_path / "missing.pgm")])

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from itkrm import engine, signals
+from itkrm import adaptive, engine, signals
 from itkrm.adaptive import AdaptiveConfig, run_adaptive
 from itkrm.candidates import ReplacementPolicy, draw_candidates
 from itkrm.engine import (EngineConfig, FixedCorpus, FreshBatches,
@@ -728,6 +728,23 @@ def test_draw_error_reaches_run_adaptive():
         run_adaptive(model.dictionary, FailingBatches(model, 100),
                      AdaptiveConfig(), 3, seed=1)
     assert info.value is FailingBatches.error
+    assert threading.active_count() == before
+
+
+def test_step_error_reaches_run_adaptive(monkeypatch):
+    # an error after the iteration, in the adaptive step's pruning, ends
+    # the run with its helper and the batch drawn ahead
+    error = RuntimeError("prune failed")
+
+    def failing(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(adaptive, "prune_coherent", failing)
+    model = _prefetch_model()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        run_adaptive(model.dictionary, FreshBatches(model, 100),
+                     AdaptiveConfig(), 3, seed=1)
+    assert info.value is error
     assert threading.active_count() == before
 
 

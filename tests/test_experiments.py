@@ -169,6 +169,36 @@ def test_same_spec_same_bytes(tmp_path):
         (b / "trial_000_plain.dict").read_bytes()
 
 
+def test_fixedpoint_probe_spurious_estimate_stays_stable(tmp_path):
+    # the paper's stable spurious fixed point: from an estimate with a
+    # double atom and a 1:1 combined atom per triple, plain learning keeps
+    # the two generating atoms of each triple missing
+    triples = 2
+    spec = tiny_spec(tmp_path, scenario="fixedpoint_probe", d=32, n_atoms=48,
+                     dict_kind="dirac-hadamard", init_kind="spurious",
+                     spurious_triples=triples, gen_sparsity=(2,), signals=2000,
+                     iterations=3, trials=2)
+    out = run_experiment(spec)
+    rows = (out / "results.csv").read_text().splitlines()
+    assert rows[0] == "trial,recovered,K"
+    assert rows[1:] == [f"{t},{48 - 2 * triples},48" for t in range(2)]
+
+
+def test_plain_and_replacement_rows_keep_adaptive_defaults(tmp_path):
+    spec = tiny_spec(tmp_path, scenario="replacement_compare", trials=1,
+                     compare=("candidate", "none"))
+    out = run_experiment(spec)
+    for label in ("candidate", "none"):
+        lines = (out / f"trial_000_{label}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert len(lines) == 1 + spec.iterations
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert (row["S_bar"], row["S_bar_raw"], row["S_t"]) == ("", "", "")
+            assert [row[c] for c in ("merges", "pruned", "pruned_unused",
+                                     "added")] == ["0"] * 4
+
+
 def test_replacement_compare_labels(tmp_path):
     spec = tiny_spec(tmp_path, scenario="replacement_compare", trials=1,
                      compare=("candidate", "none"), iterations=2)
