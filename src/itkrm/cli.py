@@ -2,11 +2,12 @@
 
 The learn and probe flags are generated from the ExperimentSpec fields: each
 field is set by ``--field-name``, and seven fields keep a short spelling
-(``_SHORT``).  Every value, whether from a flag, a config file or a stored
-manifest, is read by the field's declared type; ExperimentSpec.validate() is
-the only range and choice check.  Values from a config file override the
-defaults (the subcommand's default scenario included) and flags override
-both.  Exit codes: 0 success, 2 invalid specification, 3 runtime failure.
+(``_SHORT``).  Every value, from a flag, a config file or a stored manifest,
+is read by the field's declared type.  ExperimentSpec.validate() builds the
+first trial's objects, so every check, its own or a constructor's, exits 2
+before anything is written.  Config-file values override the defaults (the
+subcommand's default scenario included) and flags override both.  Exit
+codes: 0 success, 2 invalid specification, 3 runtime failure.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ import json
 import math
 import os
 import platform
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace as dc_replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -37,8 +39,6 @@ from .signals import (CoefficientMixture, GeometricCoefficients, SignalModel,
 SCENARIOS = {"replacement_compare": "learn", "plain_recovery": "learn",
              "adaptive_synthetic": "learn", "adaptive_image": "learn",
              "fixedpoint_probe": "probe", "contraction_sweep": "probe"}
-
-DICT_KINDS = ("random-sphere", "dirac-hadamard")
 
 # CSV header, one column per IterationRecord field in field order; these
 # fields get the paper's symbol as column name, the others keep their own.
@@ -90,27 +90,15 @@ class ExperimentSpec:
     s_range: Tuple[int, ...] = tuple(range(1, 11))
     stop_at_full_recovery: bool = False
 
-    def validate(self) -> None:
+    def validate(self) -> "_Trial":
+        """Build trial 0 at the scaled geometry and return its objects, so
+        every constructor check applies; the checks here are the others."""
         if self.scenario not in SCENARIOS:
             raise SpecError(f"scenario: unknown value {self.scenario!r}")
-        if self.dict_kind not in DICT_KINDS:
-            raise SpecError(f"dict_kind: unknown value {self.dict_kind!r}")
         if self.trials < 0:
             raise SpecError("trials: must be >= 0")
-        if self.scale <= 0:
-            raise SpecError("scale: must be positive")
-        if self.d < 1 or self.n_atoms < 1:
-            raise SpecError("d/n_atoms: must be positive")
-        if self.sparsity < 1:
-            raise SpecError("sparsity: must be >= 1")
-        if len(self.gen_sparsity) != len(self.gen_weights):
-            raise SpecError("gen_weights: must match gen_sparsity in length")
-        if not (0 <= self.outlier_rate < 1):
-            raise SpecError("outlier_rate: must lie in [0, 1)")
-        if not (0 < self.mu_max < 1):
-            raise SpecError("mu_max: must lie in (0, 1)")
-        if self.combine not in ("delete", "merge", "add"):
-            raise SpecError(f"combine: unknown value {self.combine!r}")
+        if not 0 < self.scale < math.inf:
+            raise SpecError("scale: must be positive and finite")
         for variant in self.compare:
             if variant not in ("candidate", "random", "none"):
                 raise SpecError(f"compare: unknown variant {variant!r}")
@@ -123,12 +111,19 @@ class ExperimentSpec:
         if self.init_kind not in ("random", "spurious"):
             raise SpecError(f"init_kind: unknown value {self.init_kind!r}")
         if self.scenario == "fixedpoint_probe" and self.init_kind == "spurious" \
-                and 3 * self.spurious_triples > self.scaled().n_atoms:
-            raise SpecError("spurious_triples: 3 * spurious_triples exceeds n_atoms")
+                and self.spurious_triples < 1:
+            raise SpecError("spurious_triples: must be >= 1")
         if self.scenario == "adaptive_image" and not self.image_path:
             raise SpecError("image_path: required for adaptive_image")
-        if self.min_obs not in ("d", "dlogd", "2dlogd") and not _is_int(self.min_obs):
-            raise SpecError(f"min_obs: unknown value {self.min_obs!r}")
+        trial = _build_trial(self.scaled(), 0)
+        if self.scenario == "contraction_sweep" and trial.generating.d < 2:
+            raise SpecError("d: contraction_sweep needs d >= 2 to perturb an atom")
+        # contraction_sweep runs the engine on perturbed generating atoms
+        k_e = trial.generating.K if self.scenario == "contraction_sweep" else trial.init.K
+        if not self.scenario.startswith("adaptive") \
+                and self.sparsity > min(trial.init.d, k_e):
+            raise SpecError("sparsity: exceeds min(d, K) of the estimate")
+        return trial
 
     def scaled(self) -> "ExperimentSpec":
         """Shrink d, K and N proportionally by the scale factor."""
@@ -143,14 +138,6 @@ class ExperimentSpec:
             else max(1, round_half_up(self.init_atoms * f)),
             signals=max(1, round_half_up(self.signals * f)),
         )
-
-
-def _is_int(text) -> bool:
-    try:
-        int(text)
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 def resolve_min_obs(mode: str, d: int) -> int:
@@ -170,10 +157,11 @@ def derive_seed(base: int, *key: int) -> int:
 
 
 def coefficient_model(spec: ExperimentSpec):
-    parts = []
     total = float(sum(spec.gen_weights))
-    for s, w in zip(spec.gen_sparsity, spec.gen_weights):
-        parts.append((w / total, GeometricCoefficients(spec.q_min, spec.q_max, s)))
+    if not total > 0:
+        raise ValueError("weights need a positive sum")
+    parts = [(w / total, GeometricCoefficients(spec.q_min, spec.q_max, s))
+             for s, w in zip(spec.gen_sparsity, spec.gen_weights, strict=True)]
     if len(parts) == 1:
         return parts[0][1]
     return CoefficientMixture(components=tuple(parts))
@@ -182,8 +170,10 @@ def coefficient_model(spec: ExperimentSpec):
 def generating_dictionary(spec: ExperimentSpec) -> Dictionary:
     if spec.dict_kind == "dirac-hadamard":
         return make_dirac_hadamard(spec.d, spec.n_atoms)
-    return make_random_sphere(spec.d, spec.n_atoms,
-                              rng_from_seed(derive_seed(spec.seed, 0xD1C0)))
+    if spec.dict_kind == "random-sphere":
+        return make_random_sphere(spec.d, spec.n_atoms,
+                                  rng_from_seed(derive_seed(spec.seed, 0xD1C0)))
+    raise ValueError(f"unknown dictionary kind {spec.dict_kind!r}")
 
 
 def signal_model(spec: ExperimentSpec, generating: Dictionary,
@@ -259,56 +249,80 @@ def aggregate_trajectories(trajectories: List[Trajectory]):
 # scenarios (one trial each)
 
 
-def _random_init(spec: ExperimentSpec, d: int, k_init: int, trial: int) -> Dictionary:
-    """The trial's random initial estimate: ``init_atoms`` atoms, else k_init."""
-    k = spec.init_atoms if spec.init_atoms is not None else k_init
-    return make_random_sphere(d, k, rng_from_seed(derive_seed(spec.seed, 0x171, trial)))
+# A trial's objects; patches only for an image, a resolved adaptive config for adaptive_*
+_Trial = namedtuple("_Trial", "generating source init engine policy patches adaptive")
 
 
-def _adaptive_config(spec: ExperimentSpec, d: int) -> AdaptiveConfig:
-    return AdaptiveConfig(mu_max=spec.mu_max,
-                          min_observations=resolve_min_obs(spec.min_obs, d))
+@contextmanager
+def _reading(names: str):
+    """Raise a constructor's ValueError as a SpecError naming the spec fields."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SpecError(f"{names}: {exc}") from exc
+
+
+def _build_trial(spec: ExperimentSpec, trial: int) -> _Trial:
+    """Build a trial's objects without drawing a batch; its initial estimate
+    has ``init_atoms`` random atoms (64 for an image), or a probe's
+    spurious triples."""
+    with _reading("dict_kind, d, n_atoms, seed"):
+        generating = generating_dictionary(spec)
+    with _reading("gen_sparsity, gen_weights, q_min, q_max, snr, outlier_rate, seed"):
+        source = FreshBatches(signal_model(spec, generating, trial), spec.signals)
+    image = spec.scenario == "adaptive_image"
+    with _reading("patch_side"):
+        patches = PatchConfig(patch_side=spec.patch_side) if image else None
+    d, k = (spec.patch_side ** 2, 64) if image else (spec.d, spec.n_atoms)
+    if spec.scenario == "fixedpoint_probe" and spec.init_kind == "spurious":
+        with _reading("spurious_triples"):
+            init = make_spurious_estimate(generating, [
+                (3 * i, 3 * i + 2, 3 * i + 1) for i in range(spec.spurious_triples)])
+    else:
+        with _reading("init_atoms"):
+            init = make_random_sphere(d, k if spec.init_atoms is None else spec.init_atoms,
+                                      rng_from_seed(derive_seed(spec.seed, 0x171, trial)))
+    with _reading("sparsity"):
+        engine = EngineConfig(sparsity=spec.sparsity)
+    with _reading("mu_max, combine"):
+        policy = ReplacementPolicy(mu_max=spec.mu_max, combine=spec.combine)
+    with _reading("mu_max, min_obs"):
+        min_obs = resolve_min_obs(spec.min_obs, d)
+        adaptive = AdaptiveConfig(mu_max=spec.mu_max, min_observations=min_obs).resolve(d) \
+            if spec.scenario.startswith("adaptive") else None
+    return _Trial(generating, source, init, engine, policy, patches, adaptive)
 
 
 def run_trial(spec: ExperimentSpec, trial: int):
     """Run one trial; returns (labelled trajectories, extra csv rows)."""
-    generating = generating_dictionary(spec)
-    model_seed_source = FreshBatches(signal_model(spec, generating, trial),
-                                     spec.signals)
-    init = _random_init(spec, spec.d, spec.n_atoms, trial)
+    generating, source, init, engine, policy, patches, adaptive = _build_trial(spec, trial)
     trajectories: List[Tuple[str, Trajectory]] = []
     rows: List[list] = []
 
-    def learn(label: str, init: Dictionary) -> Trajectory:
+    def learn(label: str) -> Trajectory:
         """Plain learning for "plain"/"none", else candidate replacement
         from the learned ("candidate") or random ("random") pool."""
         replacing = label in ("candidate", "random")
-        cfg = EngineConfig(sparsity=spec.sparsity,
-                           variant="replacement" if replacing else "plain")
+        cfg = dc_replace(engine, variant="replacement") if replacing else engine
         return run_learning(
-            init, model_seed_source, cfg, spec.iterations, reference=generating,
-            policy=ReplacementPolicy(mu_max=spec.mu_max, combine=spec.combine),
+            init, source, cfg, spec.iterations, reference=generating, policy=policy,
             candidate_source="random" if label == "random" else "learned",
             recovery_threshold=spec.recovery_threshold,
             stop_at_full_recovery=replacing and spec.stop_at_full_recovery,
             seed=derive_seed(spec.seed, 0xE, trial))
 
     if spec.scenario in ("plain_recovery", "fixedpoint_probe"):
-        if spec.scenario == "fixedpoint_probe" and spec.init_kind == "spurious":
-            init = make_spurious_estimate(generating, [
-                (3 * i, 3 * i + 2, 3 * i + 1) for i in range(spec.spurious_triples)])
-        traj = learn("plain", init)
+        traj = learn("plain")
         trajectories.append(("plain", traj))
         if traj.final_record is not None:
             recovered = int(round(traj.final_record.recovery_rate * generating.K))
             rows.append([trial, recovered, generating.K])
 
     elif spec.scenario == "replacement_compare":
-        trajectories += [(label, learn(label, init)) for label in spec.compare]
+        trajectories += [(label, learn(label)) for label in spec.compare]
 
     elif spec.scenario == "adaptive_synthetic":
-        traj = run_adaptive(init, model_seed_source,
-                            _adaptive_config(spec, spec.d), spec.iterations,
+        traj = run_adaptive(init, source, adaptive, spec.iterations,
                             reference=generating,
                             recovery_threshold=spec.recovery_threshold,
                             seed=derive_seed(spec.seed, 0xE, trial))
@@ -318,34 +332,25 @@ def run_trial(spec: ExperimentSpec, trial: int):
         clean = load_image_gray(spec.image_path)
         img = add_image_noise(clean, spec.image_sigma,
                               rng_from_seed(derive_seed(spec.seed, 0x10, trial)))
-        patches = extract_patches(img, PatchConfig(patch_side=spec.patch_side))
-        d = spec.patch_side ** 2
-        traj = run_adaptive(_random_init(spec, d, 64, trial), FixedCorpus(patches),
-                            _adaptive_config(spec, d), spec.iterations,
-                            seed=derive_seed(spec.seed, 0xE, trial))
+        traj = run_adaptive(init, FixedCorpus(extract_patches(img, patches)), adaptive,
+                            spec.iterations, seed=derive_seed(spec.seed, 0xE, trial))
         trajectories.append(("adaptive", traj))
-        clean_patches = extract_patches(clean,
-                                        PatchConfig(patch_side=spec.patch_side))
-        report = approximation_power(traj.dictionary, clean_patches,
+        report = approximation_power(traj.dictionary, extract_patches(clean, patches),
                                      spec.s_range, augment_flat=True)
         for s, err in zip(report.sparsity_levels, report.relative_errors):
             rows.append([trial, int(s), float(err)])
 
-    elif spec.scenario == "contraction_sweep":
+    else:   # contraction_sweep
         rng = rng_from_seed(derive_seed(spec.seed, 0xC0, trial))
         generating = make_random_sphere(spec.d, spec.n_atoms, rng)
         model = signal_model(spec, generating, trial)
         for eps in spec.epsilons:
             estimate = perturbed_dictionary(generating, eps, rng)
-            batch = generate_batch(model, spec.signals,
-                                   rng=rng_from_seed(model.seed, 1))
-            cfg = EngineConfig(sparsity=spec.sparsity, variant="plain")
-            out = run_iteration(estimate, batch, cfg)
+            batch = generate_batch(model, spec.signals, rng=rng_from_seed(model.seed, 1))
+            out = run_iteration(estimate, batch, engine)
             d_before, _ = asym_distance(generating, estimate)
             d_after, _ = asym_distance(generating, out.new_dictionary)
             rows.append([trial, eps, d_before, d_after, d_after / d_before])
-    else:
-        raise SpecError(f"scenario: unknown value {spec.scenario!r}")
     return trajectories, rows
 
 
@@ -400,7 +405,7 @@ def environment() -> dict:
 
 def run_experiment(spec: ExperimentSpec) -> Path:
     """Run all trials of a spec and write the artifact directory."""
-    spec.validate()
+    adaptive = spec.validate().adaptive
     spec = spec.scaled()
     out_dir = Path(spec.output_dir)
     try:
@@ -412,16 +417,13 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         raise RuntimeError(f"output directory not writable: {exc}") from exc
 
     manifest = {"spec": asdict(spec), "version": 1, "environment": environment()}
-    if spec.scenario.startswith("adaptive"):
-        d_eff = spec.patch_side ** 2 if spec.scenario == "adaptive_image" else spec.d
-        cfg = _adaptive_config(spec, d_eff).resolve(d_eff)
-        manifest["adaptive_config"] = asdict(cfg)
+    if adaptive is not None:
+        manifest["adaptive_config"] = asdict(adaptive)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True) + "\n")
     if spec.trials == 0:
         return out_dir
 
-    results = []
     workers = worker_count()
     if workers > 1 and spec.trials > 1:
         import multiprocessing

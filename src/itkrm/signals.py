@@ -106,7 +106,7 @@ CoefficientModel = Union[
 
 def _draw_coefficient_rows(model: CoefficientModel, size: int, n: int,
                            rng: np.random.Generator):
-    """Vectorized draw of n coefficient rows of length ``size``.
+    """Vectorized draw of n coefficient rows of length ``size`` >= the sparsity.
 
     Returns (c, s) where c is (n, size) nonnegative non-increasing with unit
     l2 norm per row and s is the per-row effective sparsity.
@@ -114,22 +114,16 @@ def _draw_coefficient_rows(model: CoefficientModel, size: int, n: int,
     c = np.zeros((n, size), dtype=np.float64)
     if isinstance(model, GeometricCoefficients):
         s = model.sparsity
-        if s > size:
-            raise ValueError("sparsity exceeds coefficient length")
         q = rng.uniform(model.q_min, model.q_max, size=n)
         c[:, :s] = q[:, None] ** np.arange(s)[None, :]
         sparsities = np.full(n, s, dtype=np.int64)
     elif isinstance(model, TwoSparseCoefficients):
-        if size < 2:
-            raise ValueError("two-sparse model needs length >= 2")
         b = rng.uniform(model.b_min, model.b_max, size=n)
         c[:, 0] = 1.0
         c[:, 1] = b
         sparsities = np.full(n, 2, dtype=np.int64)
     elif isinstance(model, BalancedCoefficients):
         s = model.sparsity
-        if s > size:
-            raise ValueError("sparsity exceeds coefficient length")
         c[:, :s] = 1.0
         sparsities = np.full(n, s, dtype=np.int64)
     elif isinstance(model, CoefficientMixture):
@@ -169,6 +163,8 @@ class SignalModel:
             raise ValueError("noise levels must be finite and nonnegative")
         if not (0.0 <= self.outlier_rate < 1.0):
             raise ValueError("outlier rate must lie in [0, 1)")
+        if self.coeffs.sparsity > min(self.dictionary.d, self.dictionary.K):
+            raise ValueError("model sparsity exceeds min(d, K)")
 
 
 def noise_std_for_snr(snr: float, d: int) -> float:
@@ -287,8 +283,6 @@ def generate_batch(model: SignalModel, n: int,
     dico = model.dictionary
     d, k = dico.d, dico.K
     s_max = model.coeffs.sparsity
-    if s_max > min(d, k):
-        raise ValueError("model sparsity exceeds min(d, K)")
 
     # The coefficient rows are drawn 8 * ceil(S_max / 8) columns wide (at
     # most K) and keep the bytes of rows K wide: numpy sums a contiguous
@@ -404,6 +398,8 @@ def make_spurious_estimate(generating: Dictionary, triples) -> Dictionary:
     used = set()
     for double_idx, lost_idx, partner_idx in triples:
         trio = {int(double_idx), int(lost_idx), int(partner_idx)}
+        if not all(0 <= i < generating.K for i in trio):
+            raise ValueError(f"triple indices must lie in [0, {generating.K})")
         if len(trio) != 3:
             raise ValueError("triple indices must be distinct")
         if trio & used:

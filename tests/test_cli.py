@@ -79,21 +79,44 @@ def test_cli_spec_error_exit_code(tmp_path, capsys):
     assert "mu_max" in capsys.readouterr().err
 
 
+_PROBE = ["probe", "--d", "32"]
+_PLAIN = ["learn", "--scenario", "plain_recovery", "--d", "16", "--K", "20"]
+
+
+# Every value exits 2 before anything is written.  From the fifth row on,
+# but for -1 spurious triples, the check is a constructor's, which validate
+# reaches by building the first trial's objects.
 @pytest.mark.parametrize("argv,field", [
-    (["--scenario", "contraction_sweep", "--epsilons", "2.0"], "epsilons"),
-    (["--scenario", "contraction_sweep", "--epsilons", "0"], "epsilons"),
-    (["--init-kind", "spurious", "--spurious-triples", "20", "--K", "48"],
+    ([*_PROBE, "--scenario", "contraction_sweep", "--epsilons", "2.0"], "epsilons"),
+    ([*_PROBE, "--scenario", "contraction_sweep", "--epsilons", "0"], "epsilons"),
+    ([*_PROBE, "--init-kind", "spurious", "--spurious-triples", "20", "--K", "48"],
      "spurious_triples"),
     # 3 triples fit in K=12, not in the K=6 left after scaling
-    (["--init-kind", "spurious", "--spurious-triples", "3", "--K", "12",
+    ([*_PROBE, "--init-kind", "spurious", "--spurious-triples", "3", "--K", "12",
       "--scale", "0.5"], "spurious_triples"),
+    ([*_PLAIN, "--init-atoms", "0"], "init_atoms"),
+    ([*_PLAIN, "--gen-sparsity", "0"], "gen_sparsity"),
+    ([*_PLAIN, "--q-min", "2"], "q_min"),
+    ([*_PLAIN, "--S", "30"], "sparsity"),
+    ([*_PLAIN, "--gen-sparsity", "30"], "gen_sparsity"),
+    ([*_PLAIN, "--gen-weights", "0"], "gen_weights"),
+    ([*_PLAIN, "--dict", "dirac-hadamard", "--K", "40"], "n_atoms"),
+    (["learn", "--scenario", "adaptive_synthetic", "--d", "16", "--K", "20",
+      "--min-obs", "0"], "min_obs"),
+    (["probe", "--d", "16", "--K", "20", "--init-kind", "spurious",
+      "--spurious-triples", "-1"], "spurious_triples"),
+    (["probe", "--d", "16", "--K", "20", "--init-kind", "spurious",
+      "--spurious-triples", "7"], "spurious_triples"),
 ])
 def test_cli_probe_spec_error_exit_code(argv, field, tmp_path, capsys):
-    out = tmp_path / "probe"
-    code = main(["probe", *argv, "--d", "32", "--N", "200", "--trials", "1",
-                 "--output", str(out)])
+    """Exit 2 naming the field, for learn as for probe."""
+    out = tmp_path / "run"
+    code = main([*argv, "--N", "200", "--T", "1", "--trials", "1", "--output", str(out)])
     assert code == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ")
+    named = err.removeprefix("spec error: ").split(": ")[0].split(", ")
+    assert field in named, err
     assert not out.exists()
 
 

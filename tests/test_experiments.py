@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import itkrm
 from itkrm import container, experiments
@@ -15,7 +18,7 @@ from itkrm.engine import IterationRecord, Trajectory
 from itkrm.experiments import (TRAJECTORY_COLUMNS, ExperimentSpec, SpecError,
                                aggregate_trajectories, coefficient_model,
                                record_row, resolve_min_obs, run_experiment,
-                               write_trajectory_csv)
+                               run_trial, write_trajectory_csv)
 from itkrm.signals import CoefficientMixture, GeometricCoefficients
 
 
@@ -36,6 +39,64 @@ def test_spec_validation_names_field(tmp_path):
         tiny_spec(tmp_path, mu_max=1.5).validate()
     with pytest.raises(SpecError, match="image_path"):
         tiny_spec(tmp_path, scenario="adaptive_image").validate()
+
+
+def _mostly(valid, outside):
+    """A value of ``valid`` five times in six, else one of ``outside``."""
+    return st.integers(0, 5).flatmap(lambda i: valid if i else st.sampled_from(outside))
+
+
+@st.composite
+def tiny_specs(draw):
+    """A one-trial spec of every scenario but adaptive_image, its fields
+    drawn at and just outside the edges of their ranges."""
+    d, k = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    init_atoms = draw(st.none() | _mostly(st.integers(1, 10), [0]))
+    k_e = init_atoms or k
+    levels = draw(st.lists(_mostly(st.integers(1, min(d, k)), [0, min(d, k) + 1]),
+                           min_size=1, max_size=2))
+    return ExperimentSpec(
+        scenario=draw(st.sampled_from(["replacement_compare", "plain_recovery",
+                                       "adaptive_synthetic", "fixedpoint_probe",
+                                       "contraction_sweep"])),
+        output_dir="unused", trials=1, iterations=2, d=d, n_atoms=k,
+        init_atoms=init_atoms,
+        dict_kind=draw(_mostly(st.just("random-sphere"), ["dirac-hadamard"])),
+        sparsity=draw(_mostly(st.integers(1, min(d, k_e)), [0, min(d, k_e) + 1])),
+        gen_sparsity=tuple(levels), gen_weights=(1.0,) * len(levels),
+        q_min=draw(_mostly(st.sampled_from([0.5, 1.0]), [0.0, 1.5])),
+        outlier_rate=draw(st.sampled_from([0.0, 0.5])),
+        signals=draw(st.integers(1, 40)),
+        min_obs=draw(_mostly(st.sampled_from(["d", "dlogd", "2dlogd", "1"]),
+                             ["0", "-1", "x"])),
+        epsilons=draw(st.sampled_from([(0.1, 0.3), (math.sqrt(2),)])),
+        init_kind=draw(st.sampled_from(["random", "spurious"])),
+        spurious_triples=draw(_mostly(st.integers(1, max(1, k // 3)), [-1, 0, k // 3 + 1])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=tiny_specs())
+def test_every_spec_validate_accepts_runs_a_trial(spec):
+    # validate builds the trial's objects and raises only SpecError, so a
+    # spec it lets through gets through the trial as well
+    try:
+        spec.validate()
+    except SpecError:
+        return
+    run_trial(spec, 0)
+
+
+def test_single_atom_plain_recovery_validates_and_runs(tmp_path):
+    # the adaptive config, whose default M = round(d log d) is 0 at d=1, is
+    # built for the adaptive scenarios only
+    spec = tiny_spec(tmp_path, d=1, n_atoms=1, sparsity=1, gen_sparsity=(1,),
+                     signals=20, trials=1)
+    spec.validate()
+    out = run_experiment(spec)
+    assert (out / "results.csv").read_text().splitlines()[1:] == ["0,1,1"]
+    with pytest.raises(SpecError, match="min_obs"):
+        tiny_spec(tmp_path, scenario="adaptive_synthetic", d=1, n_atoms=1, sparsity=1,
+                  gen_sparsity=(1,)).validate()
 
 
 def test_scale_shrinks_proportionally(tmp_path):

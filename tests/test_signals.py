@@ -456,6 +456,14 @@ def test_signal_model_rejects_bad_noise_level(field, value):
         SignalModel(dictionary=dico, coeffs=BalancedCoefficients(2), **{field: value})
 
 
+@pytest.mark.parametrize("d,k", [(3, 10), (10, 3)])
+def test_signal_model_rejects_sparsity_above_min_d_k(d, k):
+    dico = random_dictionary(d, k, np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"exceeds min\(d, K\)"):
+        SignalModel(dictionary=dico, coeffs=GeometricCoefficients(0.9, 1.0, 4))
+    SignalModel(dictionary=dico, coeffs=GeometricCoefficients(0.9, 1.0, 3))
+
+
 # --- coefficient statistics of a batch ---------------------------------------
 # l1 norm (gamma_1), squared l2 norm (gamma_2) and dynamic range c(1)/c(S)
 # of every drawn coefficient sequence, read off the batch's ground truth.
@@ -545,3 +553,11 @@ def test_spurious_estimate_rejects_overlap():
     dico = Dictionary(np.eye(9))
     with pytest.raises(ValueError):
         make_spurious_estimate(dico, [(0, 2, 1), (2, 4, 5)])
+
+
+@pytest.mark.parametrize("triple", [(0, 2, 9), (10, 2, 1), (-1, 2, 1), (0, -9, 1)])
+def test_spurious_estimate_rejects_index_outside_dictionary(triple):
+    # too large an index would fail on the array, a negative one would wrap
+    dico = Dictionary(np.eye(9))
+    with pytest.raises(ValueError, match=r"\[0, 9\)"):
+        make_spurious_estimate(dico, [triple])
