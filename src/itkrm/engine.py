@@ -21,8 +21,10 @@ counters, candidates); every sum is added in chunk order on the calling
 thread, and the candidate redraws are made there too, so the bytes do not
 depend on which thread ran a selection.  The loop opens the run's one
 helper, a single-worker executor, and shares it between these selections and
-the fresh batches: batch t+1 is drawn there while iteration t runs, and the
-draw of batch 1 hands its noise and outliers to it (``generate_batch``).
+the signal source: batch t+1 is taken there while iteration t runs, and every
+draw is handed the helper for its noise and outliers (``generate_batch``);
+batch 1, taken on the caller, gives them to the idle helper, and a later draw,
+running on the helper, finds them not started and draws them itself.
 Thresholding picks the S largest absolute inner products of each signal by
 S rounds of first-maximum argmax with the winner masked, so ties go to the
 lowest atom index.  The normal equations of all signals of a chunk are
@@ -372,32 +374,16 @@ class FreshBatches:
     """Signal source drawing a fresh seeded batch every iteration.
 
     Batch t comes from its own generator, ``rng_from_seed(model.seed, t)``,
-    so it does not depend on iteration t-1 and can be drawn ahead.  No
-    batch past the last iteration is drawn, and a caller that stops early
-    waits for at most the one draw in flight.
+    so it does not depend on iteration t-1 and can be drawn ahead.
     """
 
     def __init__(self, model: SignalModel, n: int):
         self.model = model
         self.n = n
 
-    def batch(self, iteration: int) -> SignalBatch:
+    def batch(self, t: int, helper: Optional[Executor] = None) -> SignalBatch:
         return generate_batch(self.model, self.n,
-                              rng=rng_from_seed(self.model.seed, iteration))
-
-    def batches(self, iterations: int,
-                helper: Optional[Executor] = None) -> Iterator[SignalBatch]:
-        """The batches of iterations 1..iterations, through ``_run_ahead``.
-
-        Only the draw of batch 1, which ``_run_ahead`` runs on the caller,
-        hands part of its work to ``helper`` (when given), so it calls
-        ``generate_batch`` itself; the later draws run on the helper.
-        """
-        jobs = [partial(self.batch, t) for t in range(1, iterations + 1)]
-        if jobs:
-            jobs[0] = partial(generate_batch, self.model, self.n,
-                              rng=rng_from_seed(self.model.seed, 1), helper=helper)
-        yield from _run_ahead(jobs, helper)
+                              rng=rng_from_seed(self.model.seed, t), helper=helper)
 
 
 class FixedCorpus:
@@ -410,10 +396,8 @@ class FixedCorpus:
         require_finite(batch.signals)
         self._batch = batch
 
-    def batches(self, iterations: int,
-                helper: Optional[Executor] = None) -> Iterator[SignalBatch]:
-        for _ in range(iterations):
-            yield self._batch
+    def batch(self, t: int, helper: Optional[Executor] = None) -> SignalBatch:
+        return self._batch
 
 
 @dataclass(kw_only=True)
@@ -453,12 +437,19 @@ def learning_loop(dico: Dictionary, signal_source, iterations: int, step: Callab
                   reference: Optional[Dictionary], recovery_threshold: float,
                   stop_at_full_recovery: bool = False) -> Trajectory:
     """Run ``step(t, dico, batch, helper) -> (dico, record fields)`` on each
-    batch and record it; the helper ends with the run, also on an error, and
-    the metrics against ``reference`` stay None without one."""
+    ``signal_source.batch(t, helper)`` and record it; the metrics against
+    ``reference`` stay None without one.
+
+    Batch t+1 is taken on the helper while step t runs (``_run_ahead``), so
+    no batch past the last iteration is taken, and a run that stops early,
+    also on an error, waits for at most the one draw in flight before its
+    helper ends.
+    """
     traj = Trajectory()
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=1) as helper, \
-            closing(signal_source.batches(iterations, helper)) as batches:
+            closing(_run_ahead([partial(signal_source.batch, t, helper)
+                                for t in range(1, iterations + 1)], helper)) as batches:
         for t, batch in enumerate(batches, start=1):
             dico, record_fields = step(t, dico, batch, helper)
             dist = mean_dist = rate = None

@@ -31,9 +31,8 @@ from .engine import (EngineConfig, FixedCorpus, FreshBatches, IterationRecord,
 from .images import PatchConfig, add_image_noise, extract_patches, load_image_gray
 from .linalg import Dictionary, asym_distance
 from .signals import (CoefficientMixture, GeometricCoefficients, SignalModel,
-                      generate_batch, make_dirac_hadamard, make_random_sphere,
-                      make_spurious_estimate, noise_std_for_snr,
-                      perturbed_dictionary, rng_from_seed)
+                      make_dirac_hadamard, make_random_sphere, make_spurious_estimate,
+                      noise_std_for_snr, perturbed_dictionary, rng_from_seed)
 
 # Scenario -> CLI subcommand; the first scenario of a subcommand is its default.
 SCENARIOS = {"replacement_compare": "learn", "plain_recovery": "learn",
@@ -110,9 +109,6 @@ class ExperimentSpec:
             raise SpecError("epsilons: must lie in (0, sqrt(2)]")
         if self.init_kind not in ("random", "spurious"):
             raise SpecError(f"init_kind: unknown value {self.init_kind!r}")
-        if self.scenario == "fixedpoint_probe" and self.init_kind == "spurious" \
-                and self.spurious_triples < 1:
-            raise SpecError("spurious_triples: must be >= 1")
         if self.scenario == "adaptive_image" and not self.image_path:
             raise SpecError("image_path: required for adaptive_image")
         trial = _build_trial(self.scaled(), 0)
@@ -343,10 +339,9 @@ def run_trial(spec: ExperimentSpec, trial: int):
     else:   # contraction_sweep
         rng = rng_from_seed(derive_seed(spec.seed, 0xC0, trial))
         generating = make_random_sphere(spec.d, spec.n_atoms, rng)
-        model = signal_model(spec, generating, trial)
+        batch = FreshBatches(signal_model(spec, generating, trial), spec.signals).batch(1)
         for eps in spec.epsilons:
             estimate = perturbed_dictionary(generating, eps, rng)
-            batch = generate_batch(model, spec.signals, rng=rng_from_seed(model.seed, 1))
             out = run_iteration(estimate, batch, engine)
             d_before, _ = asym_distance(generating, estimate)
             d_after, _ = asym_distance(generating, out.new_dictionary)

@@ -72,15 +72,13 @@ class Dictionary:
         return self.atoms.shape[1]
 
     @classmethod
-    def from_columns(cls, matrix, normalize: bool = False) -> "Dictionary":
-        """Build a dictionary from a d x K matrix, optionally normalizing columns."""
+    def from_columns(cls, matrix) -> "Dictionary":
+        """Build a dictionary from the normalized columns of a d x K matrix."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        if normalize:
-            norms = np.linalg.norm(matrix, axis=0)
-            if np.any(norms <= 0):
-                raise ValueError("cannot normalize a zero column")
-            matrix = matrix / norms
-        return cls(matrix)
+        norms = np.linalg.norm(matrix, axis=0)
+        if np.any(norms <= 0):
+            raise ValueError("cannot normalize a zero column")
+        return cls(matrix / norms)
 
     def gram(self) -> np.ndarray:
         return self.atoms.T @ self.atoms

@@ -383,7 +383,7 @@ def make_dirac_hadamard(d: int, k: int) -> Dictionary:
 def make_random_sphere(d: int, k: int, rng: np.random.Generator) -> Dictionary:
     """Atoms drawn i.i.d. from the unit sphere."""
     atoms = rng.standard_normal((d, k))
-    return Dictionary.from_columns(atoms, normalize=True)
+    return Dictionary.from_columns(atoms)
 
 
 def make_spurious_estimate(generating: Dictionary, triples) -> Dictionary:
@@ -392,7 +392,8 @@ def make_spurious_estimate(generating: Dictionary, triples) -> Dictionary:
     Each triple (double_idx, lost_idx, partner_idx) duplicates the atom at
     double_idx into the partner's slot and replaces the lost atom's slot by
     the normalized combination of partner and lost atoms, so the estimate
-    misses exactly two generating atoms per triple.
+    misses exactly two generating atoms per triple; no triple raises
+    ValueError.
     """
     atoms = generating.atoms.copy()
     used = set()
@@ -412,12 +413,17 @@ def make_spurious_estimate(generating: Dictionary, triples) -> Dictionary:
         combo = phi_p + h * phi_l
         atoms[:, partner_idx] = phi_d
         atoms[:, lost_idx] = combo / np.linalg.norm(combo)
+    if not used:
+        raise ValueError("need at least one triple")
     return Dictionary(atoms)
 
 
 def perturbed_dictionary(generating: Dictionary, eps: float,
                          rng: np.random.Generator) -> Dictionary:
-    """Per-atom perturbation at chord distance eps with random directions."""
+    """Per-atom perturbation at chord distance eps with random directions,
+    which need d >= 2."""
+    if generating.d < 2:
+        raise ValueError("perturbing an atom needs d >= 2")
     if not (0.0 <= eps <= math.sqrt(2.0)):
         raise ValueError("eps must lie in [0, sqrt(2)]")
     alpha = 1.0 - eps * eps / 2.0
@@ -429,4 +435,4 @@ def perturbed_dictionary(generating: Dictionary, eps: float,
         z -= (phi @ z) * phi
         z /= np.linalg.norm(z)
         atoms[:, j] = alpha * phi + omega * z
-    return Dictionary.from_columns(atoms, normalize=True)
+    return Dictionary.from_columns(atoms)

@@ -11,4 +11,4 @@ def rng():
 
 def random_dictionary(d, k, rng):
     atoms = rng.standard_normal((d, k))
-    return Dictionary.from_columns(atoms, normalize=True)
+    return Dictionary.from_columns(atoms)

@@ -131,7 +131,7 @@ def test_cli_eval_writes_csv(tmp_path, capsys):
     img_path = tmp_path / "img.pgm"
     save_image_pgm(img_path, img)
     rng = np.random.default_rng(0)
-    dico = Dictionary.from_columns(rng.standard_normal((16, 12)), normalize=True)
+    dico = Dictionary.from_columns(rng.standard_normal((16, 12)))
     dict_path = tmp_path / "d.dict"
     container.write_dictionary(dict_path, dico)
     code = main(["eval", "--dict", str(dict_path), "--image", str(img_path),

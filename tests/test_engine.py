@@ -226,7 +226,7 @@ def _estimate_with_pair(rng, eps):
     """Random 12 x 16 estimate whose atom 5 is atom 4 plus eps noise."""
     atoms = random_dictionary(12, 16, rng).atoms
     atoms[:, 5] = atoms[:, 4] + eps * rng.standard_normal(12)
-    return Dictionary.from_columns(atoms, normalize=True)
+    return Dictionary.from_columns(atoms)
 
 
 # noise of the near-duplicate atom; at 4e-6 and 1e-5 the pair's Cholesky
@@ -650,13 +650,16 @@ def _prefetch_model(seed=11):
                        seed=seed)
 
 
-class SerialBatches(FreshBatches):
-    """Each batch drawn on the calling thread when its iteration starts; the
-    run's helper is not used."""
+class DrawnBatches:
+    """The seeded batches of iterations 1..iterations, drawn in turn on the
+    calling thread before the run; the run's helper is not used."""
 
-    def batches(self, iterations, helper=None):
-        for t in range(1, iterations + 1):
-            yield self.batch(t)
+    def __init__(self, model, n, iterations):
+        self._batches = [generate_batch(model, n, rng=rng_from_seed(model.seed, t))
+                         for t in range(1, iterations + 1)]
+
+    def batch(self, t, helper=None):
+        return self._batches[t - 1]
 
 
 class FailingBatches(FreshBatches):
@@ -664,10 +667,10 @@ class FailingBatches(FreshBatches):
 
     error = RuntimeError("draw failed")
 
-    def batch(self, iteration):
-        if iteration == 2:
+    def batch(self, t, helper=None):
+        if t == 2:
             raise self.error
-        return super().batch(iteration)
+        return super().batch(t, helper)
 
 
 @pytest.fixture
@@ -689,10 +692,13 @@ def _same_records(a, b):
 
 
 def test_fresh_batches_yields_the_seeded_draws():
+    # batch t is the draw of generator (seed, t), in any order, with or
+    # without a helper
     model = _prefetch_model()
-    got = list(FreshBatches(model, 200).batches(3))
-    assert len(got) == 3
-    for t, batch in enumerate(got, start=1):
+    source = FreshBatches(model, 200)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        got = [(t, source.batch(t, h)) for h in (None, helper) for t in (3, 1, 2)]
+    for t, batch in got:
         want = generate_batch(model, 200, rng=rng_from_seed(model.seed, t))
         assert batch.signals.tobytes() == want.signals.tobytes()
         for name in ("support", "signs", "coeffs", "sparsity", "is_outlier"):
@@ -704,10 +710,9 @@ def test_prefetched_learning_equals_serial_draws():
     model = _prefetch_model()
     init = make_random_sphere(12, 16, rng_from_seed(12))
     cfg = EngineConfig(sparsity=3, variant="replacement")
-    a, b = (run_learning(init, source(model, 300), cfg, 4,
-                         reference=model.dictionary,
+    a, b = (run_learning(init, source, cfg, 4, reference=model.dictionary,
                          policy=ReplacementPolicy(0.7, "merge"), seed=5)
-            for source in (FreshBatches, SerialBatches))
+            for source in (FreshBatches(model, 300), DrawnBatches(model, 300, 4)))
     _same_records(a, b)
     assert a.replacement_events == b.replacement_events
 
@@ -715,9 +720,9 @@ def test_prefetched_learning_equals_serial_draws():
 def test_prefetched_adaptive_equals_serial_draws():
     model = _prefetch_model()
     init = make_random_sphere(12, 24, rng_from_seed(13))
-    a, b = (run_adaptive(init, source(model, 600), AdaptiveConfig(), 8,
+    a, b = (run_adaptive(init, source, AdaptiveConfig(), 8,
                          reference=model.dictionary, seed=5)
-            for source in (FreshBatches, SerialBatches))
+            for source in (FreshBatches(model, 600), DrawnBatches(model, 600, 8)))
     _same_records(a, b)
 
 
@@ -748,6 +753,24 @@ def test_step_error_reaches_run_adaptive(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_loop_prefetches_each_batch_once_with_the_run_helper():
+    # batch 1 is taken on the caller, then each next one while the step
+    # before it runs; every take is handed the run's one helper
+    model = _prefetch_model()
+    drawn = DrawnBatches(model, 100, 4)
+    takes = []
+
+    class RecordingSource:
+        def batch(self, t, helper=None):
+            takes.append((t, helper, threading.current_thread()))
+            return drawn.batch(t)
+    run_learning(model.dictionary, RecordingSource(), EngineConfig(sparsity=3), 4)
+    assert [t for t, _, _ in takes] == [1, 2, 3, 4]
+    helper = takes[0][1]
+    assert isinstance(helper, Executor) and all(h is helper for _, h, _ in takes)
+    assert takes[0][2] is threading.current_thread()
+
+
 def test_prefetch_draws_one_batch_per_iteration(draw_count):
     model = _prefetch_model()
     run_learning(model.dictionary, FreshBatches(model, 100),
@@ -776,9 +799,9 @@ def test_iteration_error_leaves_no_prefetch_thread():
     assert threading.active_count() == before
 
 
-def test_first_draw_splits_on_the_helper(monkeypatch):
-    # batch 1, drawn on the caller, hands its noise and outliers to the
-    # helper; the later draws run on the helper with their tails inline
+def test_every_draw_splits_on_the_helper(monkeypatch):
+    # each draw given a helper hands it its noise and outliers; in a run,
+    # only batch 1, taken on the caller, finds the helper idle
     calls = []
     real = signals._draw_tail
 
@@ -787,7 +810,8 @@ def test_first_draw_splits_on_the_helper(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(signals, "_draw_tail", recording)
     model = _prefetch_model()
-    got = list(FreshBatches(model, 200).batches(3, EagerHelper()))
+    source = FreshBatches(model, 200)
+    got = [source.batch(t, EagerHelper()) for t in (1, 2, 3)]
     assert len(calls) == 3
     assert threading.current_thread() not in calls
     for t, batch in enumerate(got, start=1):
@@ -798,17 +822,49 @@ def test_first_draw_splits_on_the_helper(monkeypatch):
 
 @pytest.mark.parametrize("iterations", [1, 3])
 def test_split_draw_learning_finishes(iterations):
-    # the run's helper takes batch 1's tail, then prefetched draws and
-    # selections; a job waiting on a job queued behind it would hang here
+    # the run's helper takes batch 1's tail, then prefetched draws, which
+    # queue their own tails behind themselves, and selections; a job
+    # waiting on a job queued behind it would hang here
     model = _prefetch_model()
     init = make_random_sphere(12, 16, rng_from_seed(12))
     cfg = EngineConfig(sparsity=3, variant="replacement")
-    a, b = (run_learning(init, source(model, 300), cfg, iterations,
-                         reference=model.dictionary,
+    a, b = (run_learning(init, source, cfg, iterations, reference=model.dictionary,
                          policy=ReplacementPolicy(0.7, "merge"), seed=5)
-            for source in (FreshBatches, SerialBatches))
+            for source in (FreshBatches(model, 300),
+                           DrawnBatches(model, 300, iterations)))
     assert len(a.records) == iterations
     _same_records(a, b)
+
+
+def test_concurrent_prefetched_runs_finish_with_their_bytes():
+    # more runs than cores, thread switches forced often: each prefetched
+    # draw queues its tail on the helper it runs on, and must find it not
+    # started rather than wait for it
+    model = _prefetch_model()
+    init = make_random_sphere(12, 16, rng_from_seed(12))
+    cfg = EngineConfig(sparsity=3, variant="replacement")
+
+    def learn(source):
+        return run_learning(init, source, cfg, 3, reference=model.dictionary,
+                            policy=ReplacementPolicy(0.7, "merge"), seed=5)
+    want = learn(DrawnBatches(model, 300, 3))
+    got = [None] * 4
+
+    def run(i):
+        got[i] = learn(FreshBatches(model, 300))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for traj in got:
+        _same_records(traj, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

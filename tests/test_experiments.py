@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import itkrm
-from itkrm import container, experiments
-from itkrm.engine import IterationRecord, Trajectory
+from itkrm import container, engine, experiments, signals
+from itkrm.engine import EngineConfig, IterationRecord, Trajectory, run_iteration
 from itkrm.experiments import (TRAJECTORY_COLUMNS, ExperimentSpec, SpecError,
                                aggregate_trajectories, coefficient_model,
-                               record_row, resolve_min_obs, run_experiment,
-                               run_trial, write_trajectory_csv)
-from itkrm.signals import CoefficientMixture, GeometricCoefficients
+                               derive_seed, record_row, resolve_min_obs,
+                               run_experiment, run_trial, signal_model,
+                               write_rows_csv, write_trajectory_csv)
+from itkrm.linalg import asym_distance
+from itkrm.signals import (CoefficientMixture, GeometricCoefficients,
+                           make_random_sphere, perturbed_dictionary, rng_from_seed)
 
 
 def tiny_spec(tmp_path, **kw):
@@ -319,6 +322,41 @@ def test_contraction_sweep_rows(tmp_path):
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0] == "trial,eps,distance_before,distance_after,ratio"
     assert len(rows) == 1 + 2 * 2
+
+
+def test_contraction_sweep_draws_one_batch_per_trial(tmp_path, monkeypatch):
+    # every epsilon of a trial runs on the one batch (seed, 1), and the rows
+    # are those of drawing that batch again for each epsilon
+    spec = tiny_spec(tmp_path, scenario="contraction_sweep", trials=2,
+                     d=24, n_atoms=32, sparsity=3, signals=600,
+                     epsilons=(0.1, 0.3))
+    draws = []
+    real = signals.generate_batch
+
+    def counting(*args, **kwargs):
+        draws.append(1)
+        return real(*args, **kwargs)
+    for module in (engine, experiments):
+        monkeypatch.setattr(module, "generate_batch", counting, raising=False)
+    monkeypatch.delenv("ITKRM_WORKERS", raising=False)
+    out = run_experiment(spec)
+    assert len(draws) == spec.trials
+
+    rows = []
+    for trial in range(spec.trials):
+        rng = rng_from_seed(derive_seed(spec.seed, 0xC0, trial))
+        generating = make_random_sphere(spec.d, spec.n_atoms, rng)
+        model = signal_model(spec, generating, trial)
+        for eps in spec.epsilons:
+            estimate = perturbed_dictionary(generating, eps, rng)
+            batch = real(model, spec.signals, rng=rng_from_seed(model.seed, 1))
+            learned = run_iteration(estimate, batch, EngineConfig(sparsity=spec.sparsity))
+            before, _ = asym_distance(generating, estimate)
+            after, _ = asym_distance(generating, learned.new_dictionary)
+            rows.append([trial, eps, before, after, after / before])
+    write_rows_csv(tmp_path / "want.csv",
+                   ("trial", "eps", "distance_before", "distance_after", "ratio"), rows)
+    assert (out / "results.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_worker_pool_matches_serial(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ def test_dictionary_rejects_non_unit_columns():
 
 
 def test_dictionary_from_columns_normalizes():
-    dico = Dictionary.from_columns(np.array([[3.0], [4.0]]), normalize=True)
+    dico = Dictionary.from_columns(np.array([[3.0], [4.0]]))
     assert np.allclose(dico.atoms[:, 0], [0.6, 0.8])
 
 

@@ -16,7 +16,7 @@ from itkrm.signals import (KEY_ROWS, PRODUCT_COLS, BalancedCoefficients,
                            _skipped, generate_batch, hadamard_matrix,
                            make_dirac_hadamard, make_random_sphere,
                            make_spurious_estimate, noise_std_for_snr,
-                           rng_from_seed)
+                           perturbed_dictionary, rng_from_seed)
 
 from conftest import random_dictionary
 
@@ -561,3 +561,15 @@ def test_spurious_estimate_rejects_index_outside_dictionary(triple):
     dico = Dictionary(np.eye(9))
     with pytest.raises(ValueError, match=r"\[0, 9\)"):
         make_spurious_estimate(dico, [triple])
+
+
+def test_spurious_estimate_rejects_no_triple():
+    # without a triple the "spurious" estimate is the generating dictionary
+    with pytest.raises(ValueError, match="at least one triple"):
+        make_spurious_estimate(Dictionary(np.eye(9)), [])
+
+
+def test_perturbed_dictionary_rejects_single_dimension():
+    # at d = 1 no direction is orthogonal to an atom
+    with pytest.raises(ValueError, match="d >= 2"):
+        perturbed_dictionary(Dictionary(np.ones((1, 3))), 0.1, rng_from_seed(1))
