@@ -1,16 +1,20 @@
 """Orthogonal Matching Pursuit and approximation-quality evaluation.
 
 `omp` is the single-signal reference; `approximation_power` runs Batch-OMP
-with a progressive Cholesky factor over a batch of signals, block by block.
+with a progressive Cholesky factor over a batch of signals, block by block,
+the independent blocks shared between the calling thread and one helper
+thread (``engine.run_in_order``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .engine import run_in_order
 from .linalg import (SIGNAL_BLOCK, Dictionary, Support, cholesky_append,
                      cholesky_back_substitute, column_blocks,
                      solve_normal_equations)
@@ -136,6 +140,11 @@ def approximation_power(dico: Dictionary, batch: SignalBatch,
     it in every support before the s greedy picks.  Errors are measured as
     sum of squared residuals over the squared Frobenius norm of the batch.
     A signal with a NaN or infinite entry raises ValueError.
+
+    The signals go through Batch-OMP in blocks of SIGNAL_BLOCK; the calling
+    thread and a helper thread of its own each run blocks, every block
+    writing only its own columns of the errors, which are summed once all
+    blocks are done.
     """
     y = batch.signals
     require_finite(y)
@@ -156,14 +165,20 @@ def approximation_power(dico: Dictionary, batch: SignalBatch,
     if s_max > min(y.shape[0], atoms.shape[1]):
         raise ValueError("sparsity level exceeds min(d, K)")
     # Blocks of SIGNAL_BLOCK signals bound the kernel's (N, K) and
-    # (m, m, N) state.  A signal's errors keep the whole batch's bytes
-    # wherever BLAS gives a column of a product the same bytes at any
-    # product width (README, "Determinism").
+    # (m, m, N) state, two blocks' worth while both threads run one.  A
+    # signal's errors keep the whole batch's bytes wherever BLAS gives a
+    # column of a product the same bytes at any product width (README,
+    # "Determinism").
     gram = atoms.T @ atoms
     errors_sq = np.empty((s_max, y.shape[1]))
-    for lo, hi in column_blocks(y.shape[1], SIGNAL_BLOCK):
+
+    def block(lo, hi):
         errors_sq[:, lo:hi] = _batched_omp_errors(atoms, gram, y[:, lo:hi], s_max,
                                                   preselect=preselect)
+    for _ in run_in_order([partial(block, lo, hi)
+                           for lo, hi in column_blocks(y.shape[1], SIGNAL_BLOCK)],
+                          depth=2):
+        pass
     total = float(np.einsum("ij,ij->", y, y))
     rel = errors_sq[levels - 1].sum(axis=1) / total
     return ApproxReport(levels, rel, y.shape[1])

@@ -12,19 +12,20 @@ iteration, then, in ``run_learning``, coherent and unused atom replacement,
 or, in ``adaptive.run_adaptive``, pruning, adding and the sparsity step.
 
 The batched implementation walks the signals in sub-batch chunks whose walls
-coincide with the candidate renormalization boundaries, and adds each chunk's
-partial sums to running totals.  Each chunk has two stages.  Its selection
-(Phi^T Y, thresholding, the sub-Gram solve) depends only on the dictionary
-and the signals, so the selection of chunk j+1 runs on a helper thread
-while the calling thread runs the update of chunk j (residuals, sums,
-counters, candidates); every sum is added in chunk order on the calling
-thread, and the candidate redraws are made there too, so the bytes do not
-depend on which thread ran a selection.  The loop opens the run's one
-helper, a single-worker executor, and shares it between these selections and
-the signal source: batch t+1 is taken there while iteration t runs, and every
-draw is handed the helper for its noise and outliers (``generate_batch``);
-batch 1, taken on the caller, gives them to the idle helper, and a later draw,
-running on the helper, finds them not started and draws them itself.
+coincide with the candidate renormalization boundaries.  Only the candidate
+chain and the running sums must go in chunk order; everything else about a
+chunk depends only on the dictionary and its signals.  So each chunk is one
+job, run by whichever of two threads is free (``run_in_order`` at depth 2):
+its selection (Phi^T Y, thresholding, the sub-Gram solve), its residuals,
+and its partial sums and counters.  The calling thread adds the partials to
+the running totals in chunk order and runs the candidate pass and the
+redraws, so the bytes do not depend on which thread ran a job.  The loop
+opens the run's one helper, a single-worker executor, and shares it between
+these jobs and the signal source: batch t+1 is taken there while iteration t
+runs, and every draw is handed the helper for its noise and outliers
+(``generate_batch``); batch 1, taken on the caller, gives them to the idle
+helper, and a later draw, running on the helper, finds them not started and
+draws them itself.  A job the busy helper has not started runs on the caller.
 Thresholding picks the S largest absolute inner products of each signal by
 S rounds of first-maximum argmax with the winner masked, so ties go to the
 lowest atom index.  The normal equations of all signals of a chunk are
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from functools import partial
@@ -127,20 +128,22 @@ def top_s_indices(ip: np.ndarray, s: int,
     lowest index.
 
     Input is (K, N) (inner products); output is (s, N) with each column
-    sorted ascending.  The columns are taken in blocks of SIGNAL_BLOCK: each
-    of s rounds takes the row-wise argmax of one contiguous (block, K) array
-    of absolute values and masks the winner with -inf; argmax returns the
-    first maximum, so ties go to the lowest index.  That array lives in
-    ``scratch``, at least (min(N, SIGNAL_BLOCK), K), when given.
+    sorted ascending.  The columns are taken in blocks: each of s rounds
+    takes the row-wise argmax of one contiguous (block, K) array of absolute
+    values and masks the winner with -inf; argmax returns the first maximum,
+    so ties go to the lowest index.  That array lives in ``scratch`` when
+    given, whose rows set the block width, and is otherwise
+    (min(N, SIGNAL_BLOCK), K).
     """
     k, n = ip.shape
     if s > k:
         raise ValueError("sparsity exceeds the number of atoms")
     if scratch is None:
         scratch = np.empty((min(n, SIGNAL_BLOCK), k))
+    width = scratch.shape[0]
     picked = np.empty((s, n), dtype=np.int64)
-    for lo in range(0, n, SIGNAL_BLOCK):
-        hi = min(lo + SIGNAL_BLOCK, n)
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
         vals = np.abs(ip[:, lo:hi].T, out=scratch[:hi - lo])
         rows = np.arange(hi - lo)
         for r in range(s):
@@ -168,23 +171,23 @@ def _select(atoms: np.ndarray, gram: np.ndarray, y: np.ndarray, s: int,
     """Selection stage of one sub-batch: threshold the (d, nc) signals ``y``
     and solve their normal equations.
 
-    ``ip`` (K, nc) receives Phi^T y and ``scratch``, (SIGNAL_BLOCK, K) or
-    (nc, K) when smaller, the absolute values of one block of it at a time
-    (``top_s_indices``); the caller owns both and may reuse them once this
-    returns.
+    ``ip`` (K, nc) receives Phi^T y and ``scratch``, (block, K), the
+    absolute values of one block of it at a time (``top_s_indices``).
     Returns (sel, b, x): the (s, nc) supports, their inner products and
     their coefficients.
     """
     np.matmul(atoms.T, y, out=ip)
     sel = top_s_indices(ip, s, scratch)                 # (s, nc)
-    sub_gram = gram[sel[:, None, :], sel[None, :, :]]   # (s, s, nc)
     b = np.take_along_axis(ip, sel, axis=0)             # (s, nc)
     nc = y.shape[1]
     chol = np.zeros((s, s, nc))
     rdiag = np.empty((s, nc))
     x = np.empty((s, nc))                               # z = L^-1 b, then x
+    # the sub-Gram columns are gathered one step at a time, so no (s, s, nc)
+    # array sits beside the other thread's job
     live = np.logical_and.reduce([
-        cholesky_append(chol, rdiag, x, j, sub_gram[:j, j], sub_gram[j, j], b[j])
+        cholesky_append(chol, rdiag, x, j, gram[sel[:j], sel[j]],
+                        gram[sel[j], sel[j]], b[j])
         for j in range(s)])
     cholesky_back_substitute(chol, rdiag, x, s, out=x)
     # rdiag is 1/sqrt(pivot), and 0 for a pivot not above EIG_TRUNCATION
@@ -193,36 +196,69 @@ def _select(atoms: np.ndarray, gram: np.ndarray, y: np.ndarray, s: int,
     if degenerate.size:
         # duplicate or near-duplicate atoms: the coefficients feed the value
         # counters, so these signals get eigh's answer
+        sub = sel[:, degenerate]
         x[:, degenerate] = solve_normal_equations(
-            sub_gram[:, :, degenerate].transpose(2, 0, 1),
+            gram[sub[:, None, :], sub[None, :, :]].transpose(2, 0, 1),
             b[:, degenerate].T).T
     return sel, b, x
 
 
-def _run_ahead(jobs: Sequence[Callable], helper: Optional[Executor]) -> Iterator:
-    """The results of ``jobs`` in order; job j+1 runs on ``helper`` (a
-    single-worker executor, opened here when None) while the caller works
-    on the result of job j.
+def _ran(job: Callable) -> Future:
+    """A finished future holding ``job()``'s result or error."""
+    done: Future = Future()
+    try:
+        done.set_result(job())
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
 
-    A job the helper has not started when its result is due, because the
-    helper is busy with other work, is cancelled and run by the caller, so
-    at most one of these jobs runs at a time.  A job's error is raised
-    where its result is taken.  Closing the generator early cancels the
-    next job, or waits for it if it is running.
+
+def run_in_order(jobs: Sequence[Callable], helper: Optional[Executor] = None,
+                 depth: int = 1) -> Iterator:
+    """The results of ``jobs`` in order, the jobs run by the caller and by
+    ``helper`` (a single-worker executor, opened here when None).
+
+    When result j is due, the caller runs job j itself if the helper has not
+    started it; while the helper runs job j, the caller runs jobs j+1 ..
+    j+depth-1 that the helper has not started, in order, until job j ends.
+    Jobs go to the helper in order: through job j + depth - 1 while result
+    j is due, and through job j + depth once the caller runs a job ahead or
+    holds result j.  So at depth 1 the caller never runs ahead, two jobs
+    that run at once are at most depth - 1 apart, and the jobs started and
+    not yet released by the caller are at most depth + 1 consecutive ones.
+    A job's error is raised where its result is taken.  Closing the
+    generator early cancels the jobs not started and waits for those
+    running.
     """
     with ExitStack() as stack:
         if helper is None:
             helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-        pending = None
+        pending = {}                     # job index -> Future
+        submitted = 1                    # job 0 is the caller's
+
+        def submit_through(last):
+            nonlocal submitted
+            while submitted <= min(last, len(jobs) - 1):
+                pending[submitted] = helper.submit(jobs[submitted])
+                submitted += 1
         try:
+            submit_through(depth - 1)
             for j, job in enumerate(jobs):
-                result = job() if pending is None or pending.cancel() \
-                    else pending.result()
-                pending = helper.submit(jobs[j + 1]) if j + 1 < len(jobs) else None
+                future = pending.pop(j, None)
+                if future is None or future.cancel():
+                    result = job()
+                else:
+                    for i in range(j + 1, min(j + depth, len(jobs))):
+                        if future.done():
+                            break
+                        if pending[i].cancel():
+                            submit_through(j + depth)
+                            pending[i] = _ran(jobs[i])
+                    result = future.result()
+                submit_through(j + depth)
                 yield result
         finally:
-            if pending is not None and not pending.cancel():
-                wait((pending,))
+            wait([future for future in pending.values() if not future.cancel()])
 
 
 def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
@@ -236,7 +272,8 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     first m-1 sub-batch boundaries, so the candidate atoms end as the ones
     scored by the final window.  Atoms whose raw update stays below
     DEAD_ATOM_FLOOR keep their previous direction and get value 0.
-    Selections run ahead on ``helper`` (see the module docstring).
+    The sub-batch jobs run on the caller and on ``helper`` (see the module
+    docstring).
     """
     d, k = dico.d, dico.K
     y_all = batch.signals
@@ -249,6 +286,7 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     m = cfg.candidate_subbatches or default_candidate_count(d)
     n_gamma = max(1, n // m)
     adaptive = cfg.variant == "adaptive"
+    learn = candidates is not None and candidates.L > 0
     if candidates is not None:
         if candidates.d != d:
             raise ValueError("candidate dimension does not match dictionary")
@@ -272,74 +310,92 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     last_boundary = max(boundaries, default=0)
     walls = sorted({0, n} | boundaries)
     chunks = list(zip(walls[:-1], walls[1:]))
+
+    # Buffers, allocated on this thread (arrays the helper allocated stayed
+    # in its malloc arena and raised the peak RSS) and reused by the jobs.
+    # At depth 2 two jobs that run at once are consecutive, and at most
+    # three hold a residual: the one whose partials the caller adds and the
+    # two after it.  So job j takes (K, nc) buffer j % 2, its Phi^T Y and
+    # then, zeroed, its scatter, and residual buffer j % 3, which first
+    # holds thresholding's (block, K) scratch.
+    depth = 2
+    width = max((hi - lo for lo, hi in chunks), default=0)
+    block = max(1, min(SIGNAL_BLOCK, d * width // k))
+    ip_bufs = [np.empty(k * width) for _ in range(min(depth, len(chunks)))]
+    resid_bufs = [np.empty(max(d * width, k * block))
+                  for _ in range(min(depth + 1, len(chunks)))]
+
+    def job(j):
+        """Selection and every per-signal quantity and partial sum of
+        sub-batch j."""
+        lo, hi = chunks[j]
+        y = y_all[:, lo:hi]
+        nc = hi - lo
+        cols = np.arange(nc)
+        scatter_buf = ip_bufs[j % len(ip_bufs)][:k * nc]
+        scatter = scatter_buf.reshape(k, nc)
+        resid_buf = resid_bufs[j % len(resid_bufs)]
+        sel, b, x = _select(atoms, gram, y, s, scatter,
+                            resid_buf[:k * block].reshape(block, k))
+        # entry (sel[r, i], i) of the zeroed (K, nc) scatter holds the
+        # coefficients, then their signs
+        flat = sel * nc + cols
+        scatter.fill(0.0)
+        scatter_buf[flat] = x
+        resid = resid_buf[:d * nc].reshape(d, nc)
+        np.matmul(atoms, scatter, out=resid)                # Phi x, then y - Phi x
+        app_sq = np.einsum("ij,ij->j", resid, resid)
+        np.subtract(y, resid, out=resid)
+        res_sq = np.einsum("ij,ij->j", resid, resid)
+
+        scatter_buf[flat] = sign_pm(b)
+        acc_part = resid @ scatter.T
+        colsum_part = np.bincount(sel.T.ravel(), weights=np.abs(b).T.ravel(),
+                                  minlength=k)
+
+        tau = (log_tau * res_sq + app_sq) / d if adaptive else np.zeros(nc)
+        score_part = np.bincount(sel[x ** 2 >= tau], minlength=k)
+
+        coeff_hits = resid_hits = 0
+        if adaptive:
+            theta = (log_theta * res_sq + app_sq) / d
+            coeff_hits = int(np.count_nonzero(x ** 2 >= theta))
+            # Phi^T r takes the scatter's storage
+            res_ip = np.matmul(atoms.T, resid, out=scatter)
+            res_ip **= 2
+            resid_hits = int(np.count_nonzero(res_ip >= theta[None, :]))
+
+        valid = None
+        if learn:
+            y_sq = np.einsum("ij,ij->j", y, y)
+            valid = res_sq > (RESIDUAL_ZERO_REL ** 2) * y_sq
+        return (acc_part, colsum_part, score_part, coeff_hits, resid_hits,
+                resid, res_sq, valid)
+
     acc = np.zeros((d, k))           # sum of signed residuals per atom
     colsum = np.zeros(k)             # sum of |<atom, y>| over its selections
     scores = np.zeros(k, dtype=np.int64)
     sbar_acc = 0
     st_acc = 0
+    jobs = [partial(job, j) for j in range(len(chunks))]
+    with closing(run_in_order(jobs, helper, depth)) as parts:
+        for (lo, hi), part in zip(chunks, parts):
+            # the sums, in sub-batch order, and the candidate chain
+            acc_part, colsum_part, score_part, coeff_hits, resid_hits, \
+                resid, res_sq, valid = part
+            acc += acc_part
+            colsum += colsum_part
+            scores += score_part
+            sbar_acc += coeff_hits + resid_hits
+            st_acc += coeff_hits
 
-    # The selections' (K, nc) product and (block, K) absolute copy, and the
-    # update's (K, nc) scatter and (d, nc) product, are allocated once, on
-    # this thread, and reused by every sub-batch (at most one selection
-    # runs at a time): arrays the helper allocated stayed in its malloc
-    # arena and raised the peak RSS, and fresh zeroed (K, nc) temporaries
-    # cost a pass over memory each.
-    width = max((hi - lo for lo, hi in chunks), default=0)
-    ip_buf = np.empty(k * width)
-    scratch = np.empty((min(width, SIGNAL_BLOCK), k))
-    scatter_buf = np.zeros(k * width)    # zero outside each update's writes
-    approx_buf = np.empty(d * width)
-
-    def select(lo, hi):
-        nc = hi - lo
-        return _select(atoms, gram, y_all[:, lo:hi], s,
-                       ip_buf[:k * nc].reshape(k, nc), scratch)
-
-    jobs = [partial(select, lo, hi) for lo, hi in chunks]
-    with closing(_run_ahead(jobs, helper)) as selections:
-        for (lo, hi), (sel, b, x) in zip(chunks, selections):
-            y = y_all[:, lo:hi]
-            nc = hi - lo
-            cols = np.arange(nc)
-            # entry (sel[r, i], i) of the (K, nc) scatter, which holds the
-            # coefficients, then their signs, then zeros again
-            flat = sel * nc + cols
-            scatter = scatter_buf[:k * nc].reshape(k, nc)
-            scatter_buf[flat] = x
-            resid = approx_buf[:d * nc].reshape(d, nc)      # Phi x, then y - Phi x
-            np.matmul(atoms, scatter, out=resid)
-            app_sq = np.einsum("ij,ij->j", resid, resid)
-            np.subtract(y, resid, out=resid)
-            res_sq = np.einsum("ij,ij->j", resid, resid)
-
-            scatter_buf[flat] = sign_pm(b)
-            acc += resid @ scatter.T
-            scatter_buf[flat] = 0.0
-            colsum += np.bincount(sel.T.ravel(), weights=np.abs(b).T.ravel(),
-                                  minlength=k)
-
-            tau = (log_tau * res_sq + app_sq) / d if adaptive else np.zeros(nc)
-            scores += np.bincount(sel[x ** 2 >= tau], minlength=k)
-
-            if adaptive:
-                theta = (log_theta * res_sq + app_sq) / d
-                coeff_hits = np.count_nonzero(x ** 2 >= theta, axis=0)
-                # Phi^T r takes the scatter's storage, zeroed again after
-                res_ip = np.matmul(atoms.T, resid, out=scatter)
-                res_ip **= 2
-                resid_hits = np.count_nonzero(res_ip >= theta[None, :], axis=0)
-                res_ip.fill(0.0)
-                sbar_acc += int(coeff_hits.sum() + resid_hits.sum())
-                st_acc += int(coeff_hits.sum())
-
-            if candidates is not None and candidates.L:
-                y_sq = np.einsum("ij,ij->j", y, y)
-                valid = res_sq > (RESIDUAL_ZERO_REL ** 2) * y_sq
+            if learn:
+                cols = np.arange(hi - lo)
                 ipc = candidates.atoms.T @ resid            # (L, nc)
                 winners = np.argmax(np.abs(ipc), axis=0)
                 wvals = ipc[winners, cols]
                 if hi <= last_boundary:
-                    weights = np.zeros((nc, candidates.L))
+                    weights = np.zeros((hi - lo, candidates.L))
                     weights[cols[valid], winners[valid]] = sign_pm(wvals[valid])
                     cand_acc += resid @ weights
                 passed = valid & (wvals ** 2 >= tau_gamma * res_sq)
@@ -440,7 +496,7 @@ def learning_loop(dico: Dictionary, signal_source, iterations: int, step: Callab
     ``signal_source.batch(t, helper)`` and record it; the metrics against
     ``reference`` stay None without one.
 
-    Batch t+1 is taken on the helper while step t runs (``_run_ahead``), so
+    Batch t+1 is taken on the helper while step t runs (``run_in_order`` at depth 1), so
     no batch past the last iteration is taken, and a run that stops early,
     also on an error, waits for at most the one draw in flight before its
     helper ends.
@@ -448,8 +504,8 @@ def learning_loop(dico: Dictionary, signal_source, iterations: int, step: Callab
     traj = Trajectory()
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=1) as helper, \
-            closing(_run_ahead([partial(signal_source.batch, t, helper)
-                                for t in range(1, iterations + 1)], helper)) as batches:
+            closing(run_in_order([partial(signal_source.batch, t, helper)
+                                  for t in range(1, iterations + 1)], helper)) as batches:
         for t, batch in enumerate(batches, start=1):
             dico, record_fields = step(t, dico, batch, helper)
             dist = mean_dist = rate = None

@@ -111,6 +111,9 @@ class ExperimentSpec:
             raise SpecError(f"init_kind: unknown value {self.init_kind!r}")
         if self.scenario == "adaptive_image" and not self.image_path:
             raise SpecError("image_path: required for adaptive_image")
+        if self.scenario == "contraction_sweep" and self.dict_kind != "random-sphere":
+            raise SpecError("dict_kind: contraction_sweep draws a random-sphere "
+                            "generating dictionary per trial")
         trial = _build_trial(self.scaled(), 0)
         if self.scenario == "contraction_sweep" and trial.generating.d < 2:
             raise SpecError("d: contraction_sweep needs d >= 2 to perturb an atom")

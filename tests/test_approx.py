@@ -274,24 +274,29 @@ def one_blas_thread():
 def test_blocked_approximation_power_same_bytes_as_whole_batch(
         case, force_flat, rng, monkeypatch, one_blas_thread):
     # two blocks, the last one taking the remainder: each block's errors and
-    # the summed report equal one whole-batch Batch-OMP bit for bit
+    # the summed report equal one whole-batch Batch-OMP bit for bit.  The
+    # blocks run on two threads, so each is recorded by its start column.
     atoms, y, _ = _oracle_case(case, rng, n=2 * SIGNAL_BLOCK + 3)
     s_max = min(atoms.shape[0], atoms.shape[1] + 1)
-    blocks = []
+    batch = SignalBatch(signals=y)
+    base = batch.signals.__array_interface__["data"][0]
+    blocks = {}
 
-    def recording(*args, **kwargs):
-        blocks.append(_batched_omp_errors(*args, **kwargs))
-        return blocks[-1]
+    def recording(atoms_, gram, block, *args, **kwargs):
+        lo = (block.__array_interface__["data"][0] - base) // block.itemsize
+        blocks[lo] = _batched_omp_errors(atoms_, gram, block, *args, **kwargs)
+        return blocks[lo]
 
     monkeypatch.setattr(approx, "_batched_omp_errors", recording)
     levels = np.arange(1, s_max + 1)
-    report = approximation_power(Dictionary(atoms), SignalBatch(signals=y), levels,
+    report = approximation_power(Dictionary(atoms), batch, levels,
                                  augment_flat=True, force_flat=force_flat)
     full = _with_flat(atoms)
     whole = _batched_omp_errors(full, full.T @ full, y, s_max,
                                 preselect=0 if force_flat else None)
-    assert [b.shape[1] for b in blocks] == [SIGNAL_BLOCK, SIGNAL_BLOCK + 3]
-    assert np.array_equal(np.hstack(blocks), whole)
+    assert {lo: b.shape[1] for lo, b in blocks.items()} == \
+        {0: SIGNAL_BLOCK, SIGNAL_BLOCK: SIGNAL_BLOCK + 3}
+    assert np.array_equal(np.hstack([blocks[lo] for lo in sorted(blocks)]), whole)
     want = whole.sum(axis=1) / np.einsum("ij,ij->", y, y)
     assert np.array_equal(report.relative_errors, want)
 

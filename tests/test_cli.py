@@ -84,8 +84,9 @@ _PLAIN = ["learn", "--scenario", "plain_recovery", "--d", "16", "--K", "20"]
 
 
 # Every value exits 2 before anything is written.  From the fifth row on,
-# but for -1 spurious triples, the check is a constructor's, which validate
-# reaches by building the first trial's objects.
+# but for -1 spurious triples and the last row, the check is a
+# constructor's, which validate reaches by building the first trial's
+# objects.
 @pytest.mark.parametrize("argv,field", [
     ([*_PROBE, "--scenario", "contraction_sweep", "--epsilons", "2.0"], "epsilons"),
     ([*_PROBE, "--scenario", "contraction_sweep", "--epsilons", "0"], "epsilons"),
@@ -107,6 +108,9 @@ _PLAIN = ["learn", "--scenario", "plain_recovery", "--d", "16", "--K", "20"]
       "--spurious-triples", "-1"], "spurious_triples"),
     (["probe", "--d", "16", "--K", "20", "--init-kind", "spurious",
       "--spurious-triples", "7"], "spurious_triples"),
+    # a valid dirac-hadamard geometry, refused rather than silently ignored
+    ([*_PROBE, "--scenario", "contraction_sweep", "--dict", "dirac-hadamard",
+      "--K", "64"], "dict_kind"),
 ])
 def test_cli_probe_spec_error_exit_code(argv, field, tmp_path, capsys):
     """Exit 2 naming the field, for learn as for probe."""

@@ -2,8 +2,10 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import Executor, ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from itkrm import adaptive, engine, signals
 from itkrm.adaptive import AdaptiveConfig, run_adaptive
 from itkrm.candidates import ReplacementPolicy, draw_candidates
 from itkrm.engine import (EngineConfig, FixedCorpus, FreshBatches,
-                          round_half_up, run_iteration, run_learning,
-                          threshold_support, top_s_indices)
+                          round_half_up, run_in_order, run_iteration,
+                          run_learning, threshold_support, top_s_indices)
 from itkrm.linalg import SIGNAL_BLOCK, Dictionary, Support, asym_distance
 from itkrm.signals import (BalancedCoefficients, GeometricCoefficients,
                            SignalBatch, SignalModel, TwoSparseCoefficients,
@@ -129,11 +131,11 @@ def test_top_s_indices_matches_stable_sort_oracle(case):
 
 @pytest.mark.parametrize("n", [SIGNAL_BLOCK - 1, SIGNAL_BLOCK, SIGNAL_BLOCK + 1,
                                2 * SIGNAL_BLOCK + 3])
-@pytest.mark.parametrize("scratch_rows", [None, SIGNAL_BLOCK])
+@pytest.mark.parametrize("scratch_rows", [None, SIGNAL_BLOCK, 700])
 def test_top_s_indices_blocks_match_stable_sort_oracle(n, scratch_rows):
     # a small value set makes ties in most columns, among them the columns
     # on either side of each block wall; a scratch of one block is smaller
-    # than every n past a block
+    # than every n past a block, and its rows set the block width
     k, s = 11, 4
     rng = np.random.default_rng(n)
     a = rng.choice([0.0, 0.5, 1.0, 2.0], size=(k, n)) * rng.choice([-1.0, 1.0], (k, n))
@@ -352,11 +354,11 @@ def test_run_iteration_deterministic(rng):
     assert np.array_equal(a.atom_scores, b.atom_scores)
 
 
-# --- selections on the helper thread -------------------------------------
+# --- sub-batch jobs on both threads -----------------------------------------
 
 class EagerHelper(Executor):
     """Runs each job to its end on a thread of its own before ``submit``
-    returns, so every selection but the first comes from another thread."""
+    returns, so every job but the caller's first comes from another thread."""
 
     def submit(self, fn, *args, **kwargs):
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -382,14 +384,26 @@ def _iteration_bytes(variant, helper=None):
 
 @pytest.fixture
 def selecting_threads(monkeypatch):
-    """The thread of each ``top_s_indices`` call, in call order."""
-    threads = []
-    real = engine.top_s_indices
+    """The thread of each sub-batch job's selection, in call order.  While
+    ``selecting_threads.meet`` is set, a selection on the calling thread
+    first waits until another thread has started one."""
+    main = threading.current_thread()
+    other_started = threading.Event()
+
+    class Threads(list):
+        meet = threading.Event()
+    threads = Threads()
+    real = engine._select
 
     def recording(*args, **kwargs):
-        threads.append(threading.current_thread())
+        me = threading.current_thread()
+        threads.append(me)
+        if me is not main:
+            other_started.set()
+        elif threads.meet.is_set():
+            assert other_started.wait(60)
         return real(*args, **kwargs)
-    monkeypatch.setattr(engine, "top_s_indices", recording)
+    monkeypatch.setattr(engine, "_select", recording)
     return threads
 
 
@@ -397,12 +411,20 @@ def selecting_threads(monkeypatch):
 def test_run_iteration_same_bytes_whoever_selects(variant, selecting_threads):
     main = threading.current_thread()
     want = _iteration_bytes(variant)
+    # an idle helper: both threads run jobs
+    selecting_threads.clear()
+    selecting_threads.meet.set()
     with ThreadPoolExecutor(max_workers=1) as idle:
         assert _iteration_bytes(variant, idle) == want
+    selecting_threads.meet.clear()
+    assert len(selecting_threads) == 4
+    assert main in selecting_threads
+    assert any(t is not main for t in selecting_threads)
+    # job 1 runs before job 0, and jobs 2 and 3 after it, each elsewhere
     selecting_threads.clear()
     assert _iteration_bytes(variant, EagerHelper()) == want
-    assert len(selecting_threads) == 4 and selecting_threads[0] is main
-    assert all(t is not main for t in selecting_threads[1:])
+    assert [t is main for t in selecting_threads] == [False, True, False, False]
+    # a blocked helper: every job runs on the caller
     selecting_threads.clear()
     with ThreadPoolExecutor(max_workers=1) as blocked:
         release = threading.Event()
@@ -459,6 +481,110 @@ def test_selection_error_reaches_caller(helper, monkeypatch):
         else:
             run_learning(random_dictionary(12, 16, rng), FixedCorpus(batch), cfg, 2)
     assert info.value is error
+    assert threading.active_count() == before
+
+
+# --- the in-order runner ------------------------------------------------------
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("own_helper", [True, False])
+def test_run_in_order_keeps_order_and_window(depth, own_helper):
+    # uneven jobs and frequent thread switches; each job checks, as it
+    # starts, the window the sub-batch buffers rely on: it runs at most
+    # depth - 1 from any job running at once, and at most depth past the
+    # last result the caller released
+    n = 12
+    lock = threading.Lock()
+    running = set()
+    released = [0]
+    bad = []
+
+    def job(i):
+        with lock:
+            if i > released[0] + depth or any(abs(i - r) >= depth for r in running):
+                bad.append((i, released[0], sorted(running)))
+            running.add(i)
+        time.sleep(0.001 * ((i * 7) % 3))
+        with lock:
+            running.discard(i)
+        return i
+
+    def consume(helper):
+        got = []
+        for result in run_in_order([partial(job, i) for i in range(n)], helper, depth):
+            got.append(result)
+            time.sleep(0.0005)
+            released[0] += 1
+        return got
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        if own_helper:
+            got = consume(None)
+        else:
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                got = consume(helper)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(n))
+    assert bad == []
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_run_in_order_error_reaches_caller_from_either_thread(where):
+    # depth 2 with its own helper: job 1 goes to the helper before the
+    # caller runs job 0.  Failing on the helper: job 0 waits until job 1
+    # has started.  Failing on the caller: job 1 waits until the caller,
+    # running ahead, has run job 2.
+    error = RuntimeError("job failed")
+    main = threading.current_thread()
+    started, ran_two = threading.Event(), threading.Event()
+    threads = {}
+
+    def job(i):
+        threads[i] = threading.current_thread()
+        if i == 0 and where == "helper":
+            assert started.wait(60)
+        if i == 1:
+            started.set()
+            if where == "helper":
+                raise error
+            assert ran_two.wait(60)
+        if i == 2:
+            ran_two.set()
+            raise error
+        return i
+    before = threading.active_count()
+    got = []
+    with pytest.raises(RuntimeError) as info:
+        for result in run_in_order([partial(job, i) for i in range(4)], depth=2):
+            got.append(result)
+    assert info.value is error
+    failing = 1 if where == "helper" else 2
+    assert got == list(range(failing))
+    assert (threads[failing] is main) == (where == "caller")
+    assert threading.active_count() == before
+
+
+def test_run_in_order_close_waits_for_running_jobs():
+    # closed while the helper runs job 1 and job 2 waits: the close returns
+    # after job 1 ends, and jobs 2-4 never run
+    started = threading.Event()
+    finished = []
+
+    def job(i):
+        if i == 0:
+            assert started.wait(60)
+        if i == 1:
+            started.set()
+            time.sleep(0.2)
+        finished.append(i)
+        return i
+    before = threading.active_count()
+    runner = run_in_order([partial(job, i) for i in range(5)], depth=2)
+    assert next(runner) == 0
+    runner.close()
+    assert finished == [0, 1]
     assert threading.active_count() == before
 
 
