@@ -24,18 +24,17 @@ from .signals import rng_from_seed
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Thresholds and schedule for adaptive runs; None fields get their
-    dimension-dependent defaults from :meth:`resolve`."""
+    dimension-dependent defaults from :meth:`resolve`.  The candidate add
+    threshold M_Gamma = d is a rule, not a setting (:func:`run_adaptive`)."""
 
     mu_max: float = 0.7
     min_observations: Optional[int] = None      # M; default round(d log d)
-    candidate_add_threshold: Optional[int] = None  # M_Gamma; default d
     freeze_add_tail: Optional[int] = None       # default 3m, m = round(log d)
 
     def __post_init__(self):
         if not (0.0 < self.mu_max < 1.0):
             raise ValueError("mu_max must lie in (0, 1)")
-        for name in ("min_observations", "candidate_add_threshold",
-                     "freeze_add_tail"):
+        for name in ("min_observations", "freeze_add_tail"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive")
@@ -45,8 +44,6 @@ class AdaptiveConfig:
             self,
             min_observations=self.min_observations
             if self.min_observations is not None else round_half_up(d * math.log(d)),
-            candidate_add_threshold=self.candidate_add_threshold
-            if self.candidate_add_threshold is not None else d,
             freeze_add_tail=self.freeze_add_tail
             if self.freeze_add_tail is not None else 3 * default_candidate_count(d),
         )
@@ -167,11 +164,14 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
     coherent-pair pruning (every iteration), unused-atom pruning of at most
     round(d/5) atoms (from iteration 2m), candidate adding (from iteration
     m, frozen during the last ``freeze_add_tail`` iterations, 3m by
-    default), then the one-step sparsity update (from iteration m).  The
-    score window holds each atom's scores of the last m = round(log d)
-    iterations; an added atom's row starts full of ``min_observations``, so
-    it cannot be pruned as unused during its first m iterations.  The
-    sparsity level starts at 1.
+    default), then the one-step sparsity update (from iteration m).  Two
+    rules are fixed, not settings: each iteration draws m = round(log d)
+    candidates and learns them over m sub-batches, and a candidate is
+    added once its score over the last sub-batch reaches d.  The score
+    window holds each atom's scores of the last m iterations; an added
+    atom's row starts full of ``min_observations``, so it cannot be pruned
+    as unused during its first m iterations.  The sparsity level starts
+    at 1.
     """
     d = dico0.d
     cfg = cfg.resolve(d)
@@ -196,9 +196,8 @@ def run_adaptive(dico0: Dictionary, signal_source, cfg: AdaptiveConfig,
                 dico, window, cfg.min_observations, max_pruned)
         added = 0
         if m <= t <= iterations - cfg.freeze_add_tail:
-            dico, window, added = add_atoms(
-                dico, window, cands, cfg.mu_max,
-                cfg.candidate_add_threshold, cfg.min_observations)
+            dico, window, added = add_atoms(dico, window, cands, cfg.mu_max, d,
+                                            cfg.min_observations)
         if t >= m:    # until then the level stays 1
             level = update_sparsity(level, out.s_bar, max_level=min(d, dico.K))
         return dico, {"sparsity": level, "s_bar": out.s_bar,

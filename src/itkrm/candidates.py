@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import Dictionary, sign_pm
+from .signals import make_random_sphere
 
 # Accumulator columns smaller than this are considered never used and redrawn.
 ZERO_ACC_TOL = 1e-12
@@ -49,9 +50,7 @@ class CandidateSet:
 
 def draw_candidates(d: int, count: int, rng: np.random.Generator) -> CandidateSet:
     """Fresh candidates drawn i.i.d. from the unit sphere."""
-    atoms = rng.standard_normal((d, count))
-    atoms /= np.linalg.norm(atoms, axis=0)
-    return CandidateSet(atoms=atoms)
+    return CandidateSet(atoms=make_random_sphere(d, count, rng).atoms)
 
 
 def normalize_subbatch(cands: CandidateSet, accumulator: np.ndarray,
@@ -68,9 +67,8 @@ def normalize_subbatch(cands: CandidateSet, accumulator: np.ndarray,
     if np.any(~good):
         if rng is None:
             raise ValueError("redrawing unused candidates requires an rng")
-        fresh = rng.standard_normal((cands.d, int((~good).sum())))
-        fresh /= np.linalg.norm(fresh, axis=0)
-        cands.atoms[:, ~good] = fresh
+        redrawn = make_random_sphere(cands.d, int((~good).sum()), rng)
+        cands.atoms[:, ~good] = redrawn.atoms
     accumulator[:] = 0.0
     if reset_scores:
         cands.scores[:] = 0

@@ -77,16 +77,18 @@ def round_half_up(x: float) -> int:
 
 
 def default_candidate_count(d: int) -> int:
+    """m = round(log d), at least 1: the candidates drawn per iteration and
+    the candidate sub-batches every iteration walks."""
     return max(1, round_half_up(math.log(d)))
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Per-iteration engine settings."""
+    """Per-iteration engine settings; the sub-batch count m is a rule of
+    the dimension, not a setting (``default_candidate_count``)."""
 
     sparsity: int
     variant: str = "plain"
-    candidate_subbatches: Optional[int] = None  # m, default round(log d)
     min_observations: Optional[int] = None      # M, adaptive counter only
 
     def __post_init__(self):
@@ -96,8 +98,6 @@ class EngineConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "adaptive" and not self.min_observations:
             raise ValueError("adaptive variant needs min_observations")
-        if self.candidate_subbatches is not None and self.candidate_subbatches < 1:
-            raise ValueError("candidate_subbatches must be >= 1")
 
 
 @dataclass
@@ -283,7 +283,7 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     s = cfg.sparsity
     if s > min(d, k):
         raise ValueError("sparsity exceeds min(d, K)")
-    m = cfg.candidate_subbatches or default_candidate_count(d)
+    m = default_candidate_count(d)
     n_gamma = max(1, n // m)
     adaptive = cfg.variant == "adaptive"
     learn = candidates is not None and candidates.L > 0

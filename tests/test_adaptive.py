@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from itkrm import adaptive
 from itkrm.adaptive import (AdaptiveConfig, add_atoms, prune_coherent,
                             prune_unused, run_adaptive, update_sparsity)
 from itkrm.candidates import CandidateSet
@@ -230,9 +231,9 @@ def test_run_adaptive_atom_count_accounting():
 
 
 def test_run_adaptive_pinned_trajectory():
-    # integer trajectory of one small seeded run: merges, unused prunes and
-    # adds all happen; any change to the random stream or to a decision
-    # rule shows here
+    # integer trajectory of one small seeded run (m = 3, add threshold
+    # d = 16): merges, unused prunes and adds all happen; any change to the
+    # random stream or to a decision rule shows here
     d = 16
     gen = make_random_sphere(d, 24, rng_from_seed(7, 1))
     init = make_random_sphere(d, 30, rng_from_seed(7, 2))
@@ -240,24 +241,40 @@ def test_run_adaptive_pinned_trajectory():
                         noise_std_per_component=1.0 / math.sqrt(16 * d),
                         outlier_rate=0.05, outlier_std_per_component=1.0 / d,
                         seed=7)
-    cfg = AdaptiveConfig(min_observations=16, candidate_add_threshold=8,
-                         freeze_add_tail=2)
+    cfg = AdaptiveConfig(min_observations=16, freeze_add_tail=2)
     traj = run_adaptive(init, FreshBatches(model, 600), cfg, 12,
                         reference=gen, seed=7)
 
     def column(name):
         return [getattr(r, name) for r in traj.records]
 
-    assert column("n_atoms") == [21, 21, 24, 25, 28, 28, 27, 28, 25, 26, 25, 24]
+    assert column("n_atoms") == [21, 21, 22, 24, 24, 21, 22, 23, 23, 24, 24, 22]
     assert column("sparsity") == [1] * 12
     assert column("s_bar") == [0] + [1] * 11
-    assert column("merges") == [9, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
-    assert column("pruned_unused") == [0, 0, 0, 0, 0, 3, 3, 2, 3, 1, 1, 1]
-    assert column("added") == [0, 0, 3, 1, 3, 3, 2, 3, 2, 2, 0, 0]
+    assert column("merges") == [9, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0]
+    assert column("pruned_unused") == [0, 0, 0, 0, 0, 3, 1, 0, 1, 1, 0, 2]
+    assert column("added") == [0, 0, 1, 2, 0, 1, 2, 1, 2, 2, 0, 0]
 
 
 def test_adaptive_config_resolution():
     cfg = AdaptiveConfig().resolve(128)
     assert cfg.min_observations == round(128 * math.log(128))
-    assert cfg.candidate_add_threshold == 128
     assert cfg.freeze_add_tail == 15
+
+
+def test_run_adaptive_adds_at_threshold_d(monkeypatch):
+    # the candidate add threshold is the rule M_Gamma = d, not a setting;
+    # min_observations differs from d, so neither stands in for the other
+    d = 16
+    thresholds = []
+
+    def recording(dico, window, cands, mu_max, add_threshold, initial_score):
+        thresholds.append(add_threshold)
+        return add_atoms(dico, window, cands, mu_max, add_threshold, initial_score)
+    monkeypatch.setattr(adaptive, "add_atoms", recording)
+    gen = make_random_sphere(d, 24, rng_from_seed(7, 1))
+    model = SignalModel(dictionary=gen, coeffs=BalancedCoefficients(1), seed=7)
+    cfg = AdaptiveConfig(min_observations=20, freeze_add_tail=1)
+    run_adaptive(make_random_sphere(d, 30, rng_from_seed(7, 2)),
+                 FreshBatches(model, 300), cfg, 5, seed=7)
+    assert thresholds == [d, d]    # iterations m = 3 and 4

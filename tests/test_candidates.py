@@ -18,12 +18,12 @@ def _cands(atoms, scores=None):
     return CandidateSet(atoms=atoms, scores=scores)
 
 
-def _learn(atoms, signals, cands, *, sparsity=1, variant="replacement", m=1):
+def _learn(atoms, signals, cands, *, sparsity=1, variant="replacement"):
     """``cands`` after one iteration of the dictionary ``atoms`` over
-    ``signals`` with m candidate sub-batches, which updates it in place;
-    redraws come from seed 2."""
-    cfg = EngineConfig(sparsity=sparsity, variant=variant, min_observations=4,
-                       candidate_subbatches=m)
+    ``signals``, which updates it in place; the d rows of ``atoms`` set the
+    m = round(log d) candidate sub-batches (d <= 4: one, 5 <= d <= 12:
+    two), and redraws come from seed 2."""
+    cfg = EngineConfig(sparsity=sparsity, variant=variant, min_observations=4)
     run_iteration(Dictionary(atoms), SignalBatch(signals=signals), cfg,
                   candidates=cands, rng=rng_from_seed(2))
     return cands
@@ -38,43 +38,42 @@ def _sphere_draw(d, count):
 
 def test_zero_residual_is_noop_but_advances(rng):
     # signals on their selected atoms leave zero residuals: nothing is
-    # attributed, yet the sub-batch boundary comes and redraws every
-    # candidate, since none received a residual
-    atoms = np.eye(6)[:, :4]
-    signals = atoms[:, [0, 2]] @ rng.standard_normal((2, 10))
-    cands = draw_candidates(6, 3, rng)
-    before = cands.atoms.copy()
-    got = _learn(atoms, signals, cands, sparsity=2)
-    assert np.array_equal(got.atoms, before)
-    assert np.all(got.scores == 0)
-    got = _learn(atoms, signals, _cands(before), sparsity=2, m=2)
-    assert np.array_equal(got.atoms, _sphere_draw(6, 3))
-    assert np.all(got.scores == 0)
+    # attributed; with one sub-batch (d = 4) the candidates stay, with two
+    # (d = 6) the sub-batch boundary comes and redraws every candidate,
+    # since none received a residual
+    for d in (4, 6):
+        atoms = np.eye(d)[:, :d - 2]
+        signals = atoms[:, [0, 1]] @ rng.standard_normal((2, 10))
+        cands = draw_candidates(d, 3, rng)
+        before = cands.atoms.copy()
+        got = _learn(atoms, signals, cands, sparsity=2)
+        assert np.array_equal(got.atoms, before if d == 4 else _sphere_draw(d, 3))
+        assert np.all(got.scores == 0)
 
 
 def test_winner_accumulates_signed_residual(rng):
-    atoms = np.eye(4)[:, 2:]
-    a = np.array([-0.7, 0.1, 0.0, 0.0])
+    atoms = np.eye(5)[:, 3:]            # d = 5: two sub-batches
+    a = np.array([-0.7, 0.1, 0.0, 0.0, 0.0])
     # the first signal leaves residual a, the second none; the boundary
     # after the first turns the accumulators into the candidates
     signals = np.column_stack([atoms[:, 0] + a, atoms[:, 1]])
-    got = _learn(atoms, signals, _cands(np.eye(4)[:, :2]), m=2)
+    got = _learn(atoms, signals, _cands(np.eye(5)[:, :2]))
     # winner is candidate 0 (|ip| = 0.7); it accumulated a * sign(ip) = -a
     assert np.allclose(got.atoms[:, 0], -a / np.linalg.norm(a))
     # candidate 1 accumulated nothing and was redrawn
-    assert np.array_equal(got.atoms[:, 1], _sphere_draw(4, 1)[:, 0])
+    assert np.array_equal(got.atoms[:, 1], _sphere_draw(5, 1)[:, 0])
 
 
 def test_strong_match_scores_weak_match_does_not(rng):
-    d = 16
-    atoms = np.eye(d)[:, 4:]            # K = 12 atoms
+    d = 4                               # one sub-batch
+    atoms = np.eye(d)[:, 2:]            # K = 2 atoms
     combo = (np.eye(d)[:, 0] - np.eye(d)[:, 1]) / math.sqrt(2)
     # residual exactly along the candidate: |ip|/||a|| = 1 >= tau
     strong = (atoms[:, 0] + 0.4 * combo)[:, None]
     got = _learn(atoms, strong, _cands(combo.reshape(-1, 1)))
     assert got.scores[0] == 1
     # orthogonal residual: winner by default but no score
-    weak = (atoms[:, 1] + 0.3 * np.eye(d)[:, 2])[:, None]
+    weak = (atoms[:, 1] + 0.3 * (np.eye(d)[:, 0] + np.eye(d)[:, 1]))[:, None]
     got = _learn(atoms, weak, _cands(combo.reshape(-1, 1)))
     assert got.scores[0] == 0
 
@@ -96,8 +95,7 @@ def test_subbatch_normalization_and_adaptive_score_reset(rng):
     atoms = np.eye(d)[:, :3]
     target = np.eye(d)[:, 3]
     signals = np.tile((atoms[:, 0] + 0.5 * target)[:, None], (1, 6))
-    got = _learn(atoms, signals, draw_candidates(d, 2, rng), variant="adaptive",
-                 m=2)
+    got = _learn(atoms, signals, draw_candidates(d, 2, rng), variant="adaptive")
     # first boundary (after 3 signals) normalized the accumulator into atoms
     winner = np.argmax(np.abs(got.atoms.T @ target))
     assert abs(got.atoms[:, winner] @ target) == pytest.approx(1.0, abs=1e-12)

@@ -12,6 +12,7 @@ from itkrm.cli import (_spec_from_args, build_parser, main, parse_spec,
 from itkrm.experiments import ExperimentSpec, SpecError
 from itkrm.images import save_image_pgm
 from itkrm.linalg import Dictionary
+from itkrm.signals import make_random_sphere, rng_from_seed
 
 from test_images import synthetic_image
 
@@ -285,19 +286,40 @@ def test_config_numeric_text_field_stays_text(tmp_path):
 
 # --- README examples ------------------------------------------------------------
 
-def _readme_cli_commands():
+def _readme_cli_commands(subcommands):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    return [line.strip() for line in block.replace("\\\n", " ").splitlines()
-            if line.strip().startswith("itkrm ")]
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines
+            if line.startswith("itkrm ") and line.split()[1] in subcommands]
 
 
-@pytest.mark.parametrize("command", [
-    cmd if cmd.split()[1] in ("learn", "probe") else pytest.param(
-        cmd, marks=pytest.mark.skip(reason="eval needs a learned dictionary"))
-    for cmd in _readme_cli_commands()])
+@pytest.mark.parametrize("command", _readme_cli_commands(("learn", "probe")))
 def test_readme_cli_example_writes_manifest(command, tmp_path, capsys):
     argv = shlex.split(command)[1:] + ["--trials", "0", "--output",
                                        str(tmp_path / "run")]
     assert main(argv) == 0
     assert (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_readme_eval_example_writes_error_curve(tmp_path, capsys):
+    # the README's eval command, its dictionary, image and output swapped
+    # for a 64 x 16 random-sphere dictionary, a small image and a temporary
+    # file
+    [command] = _readme_cli_commands(("eval",))
+    paths = {"--dict": tmp_path / "image.dict", "--image": tmp_path / "image.pgm",
+             "--output": tmp_path / "approx.csv"}
+    container.write_dictionary(paths["--dict"], make_random_sphere(64, 16, rng_from_seed(0)))
+    save_image_pgm(paths["--image"], synthetic_image(32, seed=3))
+    argv = shlex.split(command)[1:]
+    assert set(paths) <= set(argv)
+    argv = [str(paths[flag]) if flag in paths else arg
+            for flag, arg in zip([None] + argv, argv)]
+    assert main(argv) == 0
+    lines = paths["--output"].read_text().splitlines()
+    assert lines[0] == "S,relative_error"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(s) for s, _ in rows] == [1, 2, 4, 8]
+    errs = [float(err) for _, err in rows]
+    assert all(0.0 <= err <= 1.0 for err in errs)
+    assert errs == sorted(errs, reverse=True)

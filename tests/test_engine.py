@@ -224,10 +224,10 @@ def _small_batch(rng, d=12, k=16, s=3, n=150, noise_snr=16.0, seed=5):
     return dico, generate_batch(model, n)
 
 
-def _estimate_with_pair(rng, eps):
-    """Random 12 x 16 estimate whose atom 5 is atom 4 plus eps noise."""
-    atoms = random_dictionary(12, 16, rng).atoms
-    atoms[:, 5] = atoms[:, 4] + eps * rng.standard_normal(12)
+def _estimate_with_pair(rng, eps, d=12, k=16):
+    """Random d x k estimate whose atom 5 is atom 4 plus eps noise."""
+    atoms = random_dictionary(d, k, rng).atoms
+    atoms[:, 5] = atoms[:, 4] + eps * rng.standard_normal(d)
     return Dictionary.from_columns(atoms)
 
 
@@ -237,21 +237,23 @@ NEAR_DUPLICATE_EPS = {"near_duplicate_pair": 1e-6, "near_duplicate_pair_4e-6": 4
                       "near_duplicate_pair_1e-5": 1e-5}
 
 
+# the per-signal reference test's geometry: at d = 16 every iteration walks
+# m = round(log 16) = 3 candidate sub-batches
+REF_D, REF_K, REF_M = 16, 20, 3
+
 # batches of N <= m = 3 signals
 TINY_BATCHES = {"one_signal": 1, "tiny_batch": 2, "n_equals_m": 3}
 
 
 def _reference_inputs(rng, case):
     """(estimate, batch) of one input of the per-signal reference test."""
-    if case in TINY_BATCHES:
-        dico, batch = _small_batch(rng, n=TINY_BATCHES[case])
-        return random_dictionary(12, 16, rng), batch
-    dico, batch = _small_batch(rng)
+    n = TINY_BATCHES.get(case, 150)
+    _, batch = _small_batch(rng, d=REF_D, k=REF_K, n=n)
     if case == "duplicate_pair":
-        return _estimate_with_pair(rng, 0.0), batch
+        return _estimate_with_pair(rng, 0.0, REF_D, REF_K), batch
     if case in NEAR_DUPLICATE_EPS:
-        return _estimate_with_pair(rng, NEAR_DUPLICATE_EPS[case]), batch
-    return random_dictionary(12, 16, rng), batch
+        return _estimate_with_pair(rng, NEAR_DUPLICATE_EPS[case], REF_D, REF_K), batch
+    return random_dictionary(REF_D, REF_K, rng), batch
 
 
 @pytest.mark.parametrize("variant,case", [
@@ -260,21 +262,20 @@ def _reference_inputs(rng, case):
     for variant in ("plain", "replacement", "adaptive")])
 def test_run_iteration_matches_per_signal_reference(rng, variant, case):
     est, batch = _reference_inputs(rng, case)
-    cfg = EngineConfig(sparsity=3, variant=variant, min_observations=10,
-                       candidate_subbatches=3)
-    cands = draw_candidates(12, 2, rng_from_seed(1)) if variant != "plain" else None
+    cfg = EngineConfig(sparsity=3, variant=variant, min_observations=10)
+    cands = draw_candidates(REF_D, 2, rng_from_seed(1)) if variant != "plain" else None
     out = run_iteration(est, batch, cfg, candidates=cands,
                         rng=rng_from_seed(2) if cands else None)
 
     # reference path: accumulate per-signal contributions
     k = est.K
-    raw = np.zeros((12, k))
+    raw = np.zeros((REF_D, k))
     scores = np.zeros(k, dtype=np.int64)
     sbar = 0
     cands2 = None
     if variant != "plain":
-        cands2 = StreamCandidates(draw_candidates(12, 2, rng_from_seed(1)).atoms,
-                                  subbatch_size=max(1, batch.n // 3))
+        cands2 = StreamCandidates(draw_candidates(REF_D, 2, rng_from_seed(1)).atoms,
+                                  subbatch_size=max(1, batch.n // REF_M))
     redraw_rng = rng_from_seed(2)
     for n in range(batch.n):
         y = batch.signals[:, n]
@@ -287,7 +288,7 @@ def test_run_iteration_matches_per_signal_reference(rng, variant, case):
             candidate_signal_update(
                 cands2, contrib.residual,
                 "adaptive" if variant == "adaptive" else "replacement",
-                dictionary_size=k, training_subbatches=3, rng=redraw_rng,
+                dictionary_size=k, training_subbatches=REF_M, rng=redraw_rng,
                 zero_tol=1e-10 * np.linalg.norm(y))
     norms = np.linalg.norm(raw, axis=0)
     assert np.allclose(out.raw_norms, norms, rtol=1e-9, atol=1e-12)
@@ -314,8 +315,7 @@ def test_eigh_fallback_gets_only_degenerate_columns(rng, monkeypatch):
         return solve(gram, rhs)
 
     monkeypatch.setattr(engine, "solve_normal_equations", counting_solve)
-    cfg = EngineConfig(sparsity=3, variant="adaptive", min_observations=10,
-                       candidate_subbatches=3)
+    cfg = EngineConfig(sparsity=3, variant="adaptive", min_observations=10)
     _, batch = _small_batch(rng)
     run_iteration(random_dictionary(12, 16, rng), batch, cfg)
     assert handed == []
@@ -366,13 +366,13 @@ class EagerHelper(Executor):
 
 
 def _iteration_bytes(variant, helper=None):
-    """Every output of one iteration over four sub-batches, as bytes."""
+    """Every output of one iteration over four sub-batches (m = round(log d)
+    at d = 40), as bytes."""
     rng = np.random.default_rng(21)
-    _, batch = _small_batch(rng, n=400)
-    est = random_dictionary(12, 16, rng)
-    cfg = EngineConfig(sparsity=3, variant=variant, min_observations=10,
-                       candidate_subbatches=4)
-    cands = draw_candidates(12, 3, rng_from_seed(1)) if variant != "plain" else None
+    _, batch = _small_batch(rng, d=40, k=48, n=400)
+    est = random_dictionary(40, 48, rng)
+    cfg = EngineConfig(sparsity=3, variant=variant, min_observations=10)
+    cands = draw_candidates(40, 3, rng_from_seed(1)) if variant != "plain" else None
     out = run_iteration(est, batch, cfg, candidates=cands,
                         rng=rng_from_seed(2) if cands else None, helper=helper)
     got = [out.new_dictionary.atoms.tobytes(), out.raw_norms.tobytes(),
@@ -472,14 +472,14 @@ def test_selection_error_reaches_caller(helper, monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(engine, "top_s_indices", failing)
     rng = np.random.default_rng(22)
-    _, batch = _small_batch(rng, n=400)
-    cfg = EngineConfig(sparsity=3, candidate_subbatches=4)
+    _, batch = _small_batch(rng, d=40, k=48, n=400)      # four sub-batches
+    cfg = EngineConfig(sparsity=3)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as info:
         if helper is None:
-            run_iteration(random_dictionary(12, 16, rng), batch, cfg)
+            run_iteration(random_dictionary(40, 48, rng), batch, cfg)
         else:
-            run_learning(random_dictionary(12, 16, rng), FixedCorpus(batch), cfg, 2)
+            run_learning(random_dictionary(40, 48, rng), FixedCorpus(batch), cfg, 2)
     assert info.value is error
     assert threading.active_count() == before
 
@@ -611,7 +611,7 @@ def test_run_iteration_sign_invariance(rng):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(4, 12),
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(4, 16),   # m = 1, 2 or 3
        extra=st.integers(0, 8), s=st.integers(1, 3), n=st.integers(1, 160),
        variant=st.sampled_from(["plain", "replacement", "adaptive"]),
        with_candidates=st.booleans())
@@ -627,8 +627,7 @@ def test_run_iteration_equivariant_under_permutation_and_sign_flips(
     perm = rng.permutation(k)
     flips = np.where(rng.random(k) < 0.5, -1.0, 1.0)
     moved = Dictionary(est.atoms[:, perm] * flips)
-    cfg = EngineConfig(sparsity=s, variant=variant, min_observations=10,
-                       candidate_subbatches=3)
+    cfg = EngineConfig(sparsity=s, variant=variant, min_observations=10)
 
     def iterate(dico):
         cands = draw_candidates(d, 2, rng_from_seed(seed, 1)) if with_candidates else None
@@ -1005,18 +1004,17 @@ def test_fixed_corpus_rejects_non_finite_signal(bad):
 def test_adaptive_iteration_peak_memory():
     # The update reuses one zeroed (K, nc) scatter, also for Phi^T r, so
     # that a batch drawn on the prefetch thread fits beside the iteration:
-    # one adaptive iteration peaks at about 3.9 (K, nc) arrays, the product
-    # and the absolute copy of the selection running ahead included (6.8
-    # when each temporary lived to the end of its sub-batch and
-    # thresholding made a second absolute copy).
-    d, k, n, m = 16, 128, 4000, 4
+    # one adaptive iteration over m = 3 sub-batches 1000 signals wide peaks
+    # at about 3.0-3.1 (K, nc) arrays (6.8 when each temporary lived to the
+    # end of its sub-batch and thresholding made a second absolute copy).
+    d, k, n = 16, 128, 3000
+    m = engine.default_candidate_count(d)
     model = SignalModel(dictionary=make_random_sphere(d, k, rng_from_seed(1)),
                         coeffs=GeometricCoefficients(0.9, 1.0, 3),
                         noise_std_per_component=0.02, seed=3)
     batch = generate_batch(model, n, rng=rng_from_seed(3, 1))
     init = make_random_sphere(d, k, rng_from_seed(2))
-    cfg = EngineConfig(sparsity=3, variant="adaptive", candidate_subbatches=m,
-                       min_observations=40)
+    cfg = EngineConfig(sparsity=3, variant="adaptive", min_observations=40)
     cands = draw_candidates(d, 3, rng_from_seed(4))
     tracemalloc.start()
     try:
@@ -1028,19 +1026,20 @@ def test_adaptive_iteration_peak_memory():
 
 
 def test_replacement_iteration_peak_memory():
-    # Sub-batches four blocks wide: thresholding holds one (SIGNAL_BLOCK, K)
-    # block of absolute values, and the update reuses one zeroed (K, nc)
-    # scatter, so one replacement iteration peaks at about 2.9 (K, nc)
-    # arrays (3.7 with an (nc, K) absolute copy and fresh zeroed (K, nc)
-    # temporaries per sub-batch).
-    d, k, m = 16, 128, 4
+    # m = 3 sub-batches four blocks wide: thresholding holds one
+    # (SIGNAL_BLOCK, K) block of absolute values, and the update reuses one
+    # zeroed (K, nc) scatter, so one replacement iteration peaks at about
+    # 2.7-2.8 (K, nc) arrays (3.7 with an (nc, K) absolute copy and fresh
+    # zeroed (K, nc) temporaries per sub-batch).
+    d, k = 16, 128
+    m = engine.default_candidate_count(d)
     n = m * 4 * SIGNAL_BLOCK
     model = SignalModel(dictionary=make_random_sphere(d, k, rng_from_seed(1)),
                         coeffs=GeometricCoefficients(0.9, 1.0, 3),
                         noise_std_per_component=0.02, seed=3)
     batch = generate_batch(model, n, rng=rng_from_seed(3, 1))
     init = make_random_sphere(d, k, rng_from_seed(2))
-    cfg = EngineConfig(sparsity=3, variant="replacement", candidate_subbatches=m)
+    cfg = EngineConfig(sparsity=3, variant="replacement")
     cands = draw_candidates(d, 3, rng_from_seed(4))
     tracemalloc.start()
     try:
