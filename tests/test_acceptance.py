@@ -318,7 +318,8 @@ def test_criterion_8_image_pipeline():
         psnrs[sigma] = psnr(img, noisy)
         assert abs(psnrs[sigma] - expected) <= 0.1
     # image setting: higher observation threshold and an add freeze long
-    # enough for the embargo + score window to drain before the final 3m
+    # enough for the last added atoms' full score rows to drain from the
+    # window before the final 3m
     d, iters = 64, 80
     m = round_half_up(math.log(d))
     cfg = AdaptiveConfig(min_observations=round_half_up(2 * d * math.log(d)),

@@ -1,4 +1,3 @@
-import ctypes
 import itertools
 import tracemalloc
 from typing import Optional
@@ -243,30 +242,6 @@ def test_batched_errors_bounded_and_nonincreasing(d, k, n, seed, zero_share,
     assert np.all(errs >= 0.0)
     assert np.all(errs <= norms)
     assert np.all(np.diff(errs, axis=0) <= 0.0)
-
-
-@pytest.fixture
-def one_blas_thread():
-    """numpy's OpenBLAS at one thread for the test, its old count after.
-
-    With more threads OpenBLAS splits a product among them at columns that
-    depend on the product's width, so a block need not give the bytes the
-    whole batch gives (README, "Determinism").
-    """
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    try:
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except AttributeError:
-        pytest.skip("numpy's BLAS cannot be set to one thread here")
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    old = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(old)
 
 
 @pytest.mark.parametrize("force_flat", [False, True])

@@ -78,16 +78,36 @@ def test_strong_match_scores_weak_match_does_not(rng):
     assert got.scores[0] == 0
 
 
+def _sphere_tail(dim, tau, points=100_000):
+    """P(u_1^2 >= tau) for u uniform on the unit sphere of R^dim, whose
+    first coordinate has density proportional to (1 - t^2)^((dim - 3) / 2)
+    on [-1, 1]; midpoint sums over [sqrt(tau), 1] and [0, 1]."""
+    mid = (np.arange(points) + 0.5) / points
+
+    def mass(lo):
+        t = lo + (1.0 - lo) * mid
+        return (1.0 - lo) * np.mean((1.0 - t * t) ** ((dim - 3) / 2))
+    return mass(math.sqrt(tau)) / mass(0.0)
+
+
 def test_pure_noise_score_rate_bounded():
-    # noise residuals score each candidate at most ~ N/K times
-    d, k, l, n = 32, 48, 4, 6000
+    # A noise residual is y minus its projection on the S selected atoms, so
+    # its direction is close to uniform on the unit sphere of the
+    # (d - S)-dimensional complement, and a unit candidate's share of it is
+    # at most such a sphere's first coordinate.  A candidate scores only
+    # when that squared share reaches tau_gamma = 2 log(2K) / d, so its
+    # score over N signals is about a binomial count with mean at most N p,
+    # p the sphere's exact tail (here N p = 9.8; the scores are 9-14).
+    d, k, l, n, s = 32, 48, 4, 6000, 1
+    assert _sphere_tail(3, 0.25) == pytest.approx(0.5)   # u_1 uniform on [-1, 1]
+    mean = n * _sphere_tail(d - s, candidate_threshold("replacement",
+                                                       dictionary_size=k, d=d))
     rng = rng_from_seed(5)
     dico = random_dictionary(d, k, rng)
     cands = draw_candidates(d, l, rng)
     noise = rng.standard_normal((d, n))
-    got = _learn(dico.atoms, noise, cands)
-    bound = n / k + 3 * math.sqrt(n / k)
-    assert np.all(got.scores <= bound)
+    got = _learn(dico.atoms, noise, cands, sparsity=s)
+    assert np.all(got.scores <= mean + 3 * math.sqrt(mean))
 
 
 def test_subbatch_normalization_and_adaptive_score_reset(rng):
