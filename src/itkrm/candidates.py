@@ -54,7 +54,7 @@ def draw_candidates(d: int, count: int, rng: np.random.Generator) -> CandidateSe
 
 
 def normalize_subbatch(cands: CandidateSet, accumulator: np.ndarray,
-                       rng: np.random.Generator | None, reset_scores: bool) -> None:
+                       rng: np.random.Generator, reset_scores: bool) -> None:
     """Turn the (d, L) residual ``accumulator`` into the new candidate atoms
     and reset it.
 
@@ -65,8 +65,6 @@ def normalize_subbatch(cands: CandidateSet, accumulator: np.ndarray,
     good = norms > ZERO_ACC_TOL
     cands.atoms[:, good] = accumulator[:, good] / norms[good]
     if np.any(~good):
-        if rng is None:
-            raise ValueError("redrawing unused candidates requires an rng")
         redrawn = make_random_sphere(cands.d, int((~good).sum()), rng)
         cands.atoms[:, ~good] = redrawn.atoms
     accumulator[:] = 0.0

@@ -15,24 +15,20 @@ The batched implementation walks the signals in sub-batch chunks whose walls
 coincide with the candidate renormalization boundaries.  Only the candidate
 chain and the running sums must go in chunk order; everything else about a
 chunk depends only on the dictionary and its signals.  So each chunk is one
-job, run by whichever of two threads is free (``run_in_order`` at depth 2):
-its selection (Phi^T Y, thresholding, the sub-Gram solve), its residuals,
-and its partial sums and counters.  The calling thread adds the partials to
-the running totals in chunk order and runs the candidate pass and the
-redraws, so the bytes do not depend on which thread ran a job.  The loop
-opens the run's one helper, a single-worker executor, and shares it between
-these jobs and the signal source: batch t+1 is taken there while iteration t
-runs, and every draw is handed the helper for its noise and outliers
-(``generate_batch``); batch 1, taken on the caller, gives them to the idle
-helper, and a later draw, running on the helper, finds them not started and
-draws them itself.  A job the busy helper has not started runs on the caller.
-Thresholding picks the S largest absolute inner products of each signal by
-S rounds of first-maximum argmax with the winner masked, so ties go to the
-lowest atom index.  The normal equations of all signals of a chunk are
-solved by the batched Cholesky kernel of ``linalg``; only signals whose
-support holds duplicate or near-duplicate atoms (a pivot not above
-EIGH_PIVOT_MARGIN) go to the truncated-eigh solver, which decides whether
-to truncate.
+job, ``_subbatch``, run by whichever of two threads is free (``run_in_order``
+at depth 2), and the calling thread adds its ``Partials`` to the running
+totals in chunk order and runs the candidate pass and the redraws, so the
+bytes do not depend on which thread ran a job.  The loop opens the run's one
+helper, a single-worker executor, and shares it between these jobs and the
+signal source: batch t+1 is taken there while iteration t runs, and every
+draw is handed the helper for its noise and outliers (``generate_batch``);
+batch 1, taken on the caller, gives them to the idle helper, and a later
+draw, running on the helper, finds them not started and draws them itself.
+A job the busy helper has not started runs on the caller.  The normal
+equations of all signals of a chunk are solved by the batched Cholesky
+kernel of ``linalg``; only signals whose support holds duplicate or
+near-duplicate atoms (a pivot not above EIGH_PIVOT_MARGIN) go to the
+truncated-eigh solver, which decides whether to truncate.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -261,6 +257,62 @@ def run_in_order(jobs: Sequence[Callable], helper: Optional[Executor] = None,
             wait([future for future in pending.values() if not future.cancel()])
 
 
+class Partials(NamedTuple):
+    """One sub-batch's share of an iteration; nc is its signal count."""
+
+    acc: np.ndarray         # (d, K) signed residuals summed per selected atom
+    colsum: np.ndarray      # (K,) |<atom, y>| summed over the atom's selections
+    scores: np.ndarray      # (K,) int64 value-counter hits
+    coeff_hits: int         # coefficients with x^2 >= theta; 0 outside adaptive
+    resid_hits: int         # atoms with <atom, r>^2 >= theta; 0 outside adaptive
+    resid: np.ndarray       # (d, nc) residuals y - Phi x, in the caller's buffer
+    res_sq: np.ndarray      # (nc,) squared residual norms
+    valid: np.ndarray       # (nc,) bool: residual above RESIDUAL_ZERO_REL |y|
+
+
+def _subbatch(atoms: np.ndarray, gram: np.ndarray, y: np.ndarray, s: int,
+              log_tau: Optional[float], log_theta: Optional[float],
+              ip_buf: np.ndarray, resid_buf: np.ndarray, block: int) -> Partials:
+    """The job of the (d, nc) sub-batch ``y``: its selection (Phi^T y,
+    thresholding, the sub-Gram solve), its residuals, and its partial sums
+    and counters.  A value hit needs x^2 >= tau = (log_tau |r|^2 + |Phi x|^2)
+    / d, or tau = 0 with ``log_tau`` None (outside adaptive); with
+    ``log_theta`` given, theta of that form sets the recoverable-sparsity
+    counts.  ``run_iteration`` assigns the flat buffers ``ip_buf`` and
+    ``resid_buf`` (see there).
+    """
+    d, nc = y.shape
+    k = atoms.shape[1]
+    scatter = ip_buf[:k * nc].reshape(k, nc)
+    sel, b, x = _select(atoms, gram, y, s, scatter,
+                        resid_buf[:k * block].reshape(block, k))
+    # entry (sel[r, i], i) of the zeroed (K, nc) scatter holds the
+    # coefficients, then their signs
+    flat = sel * nc + np.arange(nc)
+    scatter.fill(0.0)
+    ip_buf[flat] = x
+    resid = resid_buf[:d * nc].reshape(d, nc)
+    np.matmul(atoms, scatter, out=resid)                # Phi x, then y - Phi x
+    app_sq = np.einsum("ij,ij->j", resid, resid)
+    np.subtract(y, resid, out=resid)
+    res_sq = np.einsum("ij,ij->j", resid, resid)
+    ip_buf[flat] = sign_pm(b)
+    acc = resid @ scatter.T
+    colsum = np.bincount(sel.T.ravel(), weights=np.abs(b).T.ravel(), minlength=k)
+    tau = 0.0 if log_tau is None else (log_tau * res_sq + app_sq) / d
+    scores = np.bincount(sel[x ** 2 >= tau], minlength=k)
+    coeff_hits = resid_hits = 0
+    if log_theta is not None:
+        theta = (log_theta * res_sq + app_sq) / d
+        coeff_hits = int(np.count_nonzero(x ** 2 >= theta))
+        # Phi^T r takes the scatter's storage
+        res_ip = np.matmul(atoms.T, resid, out=scatter)
+        res_ip **= 2
+        resid_hits = int(np.count_nonzero(res_ip >= theta[None, :]))
+    valid = res_sq > (RESIDUAL_ZERO_REL ** 2) * np.einsum("ij,ij->j", y, y)
+    return Partials(acc, colsum, scores, coeff_hits, resid_hits, resid, res_sq, valid)
+
+
 def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
                   candidates: Optional[CandidateSet] = None,
                   rng: Optional[np.random.Generator] = None, *,
@@ -287,23 +339,18 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     n_gamma = max(1, n // m)
     adaptive = cfg.variant == "adaptive"
     learn = candidates is not None and candidates.L > 0
-    if candidates is not None:
-        if candidates.d != d:
-            raise ValueError("candidate dimension does not match dictionary")
-        if candidates.L and rng is None:
-            raise ValueError("candidate learning needs an rng for redraws")
-        cand_acc = np.zeros((d, candidates.L))   # signed residual sums
-        # squared-score threshold of the candidate value counter
-        if adaptive:
-            tau_gamma = 2.0 * math.log(2.0 * n_gamma / d) / d
-        else:
-            tau_gamma = 2.0 * math.log(2.0 * k) / d
-
-    atoms = dico.atoms
-    gram = atoms.T @ atoms
+    if candidates is not None and candidates.d != d:
+        raise ValueError("candidate dimension does not match dictionary")
+    if learn and rng is None:
+        raise ValueError("candidate learning needs an rng for redraws")
+    # tau's and theta's log factors (_subbatch), and the candidate threshold
     if adaptive:
         log_tau = 2.0 * math.log(2.0 * n / cfg.min_observations)
         log_theta = 2.0 * math.log(4.0 * k)
+        tau_gamma = 2.0 * math.log(2.0 * n_gamma / d) / d
+    else:
+        log_tau = log_theta = None
+        tau_gamma = 2.0 * math.log(2.0 * k) / d
 
     boundaries = {j * n_gamma for j in range(1, m) if j * n_gamma <= n}
     # nothing reads the candidate accumulator after the last boundary
@@ -324,87 +371,42 @@ def run_iteration(dico: Dictionary, batch: SignalBatch, cfg: EngineConfig,
     ip_bufs = [np.empty(k * width) for _ in range(min(depth, len(chunks)))]
     resid_bufs = [np.empty(max(d * width, k * block))
                   for _ in range(min(depth + 1, len(chunks)))]
-
-    def job(j):
-        """Selection and every per-signal quantity and partial sum of
-        sub-batch j."""
-        lo, hi = chunks[j]
-        y = y_all[:, lo:hi]
-        nc = hi - lo
-        cols = np.arange(nc)
-        scatter_buf = ip_bufs[j % len(ip_bufs)][:k * nc]
-        scatter = scatter_buf.reshape(k, nc)
-        resid_buf = resid_bufs[j % len(resid_bufs)]
-        sel, b, x = _select(atoms, gram, y, s, scatter,
-                            resid_buf[:k * block].reshape(block, k))
-        # entry (sel[r, i], i) of the zeroed (K, nc) scatter holds the
-        # coefficients, then their signs
-        flat = sel * nc + cols
-        scatter.fill(0.0)
-        scatter_buf[flat] = x
-        resid = resid_buf[:d * nc].reshape(d, nc)
-        np.matmul(atoms, scatter, out=resid)                # Phi x, then y - Phi x
-        app_sq = np.einsum("ij,ij->j", resid, resid)
-        np.subtract(y, resid, out=resid)
-        res_sq = np.einsum("ij,ij->j", resid, resid)
-
-        scatter_buf[flat] = sign_pm(b)
-        acc_part = resid @ scatter.T
-        colsum_part = np.bincount(sel.T.ravel(), weights=np.abs(b).T.ravel(),
-                                  minlength=k)
-
-        tau = (log_tau * res_sq + app_sq) / d if adaptive else np.zeros(nc)
-        score_part = np.bincount(sel[x ** 2 >= tau], minlength=k)
-
-        coeff_hits = resid_hits = 0
-        if adaptive:
-            theta = (log_theta * res_sq + app_sq) / d
-            coeff_hits = int(np.count_nonzero(x ** 2 >= theta))
-            # Phi^T r takes the scatter's storage
-            res_ip = np.matmul(atoms.T, resid, out=scatter)
-            res_ip **= 2
-            resid_hits = int(np.count_nonzero(res_ip >= theta[None, :]))
-
-        valid = None
-        if learn:
-            y_sq = np.einsum("ij,ij->j", y, y)
-            valid = res_sq > (RESIDUAL_ZERO_REL ** 2) * y_sq
-        return (acc_part, colsum_part, score_part, coeff_hits, resid_hits,
-                resid, res_sq, valid)
+    atoms = dico.atoms
+    gram = atoms.T @ atoms
+    jobs = [partial(_subbatch, atoms, gram, y_all[:, lo:hi], s, log_tau, log_theta,
+                    ip_bufs[j % len(ip_bufs)], resid_bufs[j % len(resid_bufs)], block)
+            for j, (lo, hi) in enumerate(chunks)]
 
     acc = np.zeros((d, k))           # sum of signed residuals per atom
     colsum = np.zeros(k)             # sum of |<atom, y>| over its selections
     scores = np.zeros(k, dtype=np.int64)
     sbar_acc = 0
     st_acc = 0
-    jobs = [partial(job, j) for j in range(len(chunks))]
+    if learn:
+        cand_acc = np.zeros((d, candidates.L))   # signed residual sums
     with closing(run_in_order(jobs, helper, depth)) as parts:
         for (lo, hi), part in zip(chunks, parts):
             # the sums, in sub-batch order, and the candidate chain
-            acc_part, colsum_part, score_part, coeff_hits, resid_hits, \
-                resid, res_sq, valid = part
-            acc += acc_part
-            colsum += colsum_part
-            scores += score_part
-            sbar_acc += coeff_hits + resid_hits
-            st_acc += coeff_hits
-
+            acc += part.acc
+            colsum += part.colsum
+            scores += part.scores
+            sbar_acc += part.coeff_hits + part.resid_hits
+            st_acc += part.coeff_hits
             if learn:
                 cols = np.arange(hi - lo)
-                ipc = candidates.atoms.T @ resid            # (L, nc)
+                ipc = candidates.atoms.T @ part.resid           # (L, nc)
                 winners = np.argmax(np.abs(ipc), axis=0)
                 wvals = ipc[winners, cols]
                 if hi <= last_boundary:
                     weights = np.zeros((hi - lo, candidates.L))
-                    weights[cols[valid], winners[valid]] = sign_pm(wvals[valid])
-                    cand_acc += resid @ weights
-                passed = valid & (wvals ** 2 >= tau_gamma * res_sq)
+                    weights[cols, winners] = np.where(part.valid, sign_pm(wvals), 0.0)
+                    cand_acc += part.resid @ weights
+                passed = part.valid & (wvals ** 2 >= tau_gamma * part.res_sq)
                 candidates.scores += np.bincount(winners[passed],
                                                  minlength=candidates.L)
-
-            if candidates is not None and hi in boundaries:
-                # sub-batch boundary: renormalize candidates for the next window
-                normalize_subbatch(candidates, cand_acc, rng, reset_scores=adaptive)
+                if hi in boundaries:
+                    normalize_subbatch(candidates, cand_acc, rng,
+                                       reset_scores=adaptive)
 
     raw = acc + atoms * colsum
     raw_norms = np.linalg.norm(raw, axis=0)

@@ -436,6 +436,26 @@ def test_run_iteration_same_bytes_whoever_selects(variant, selecting_threads):
     assert selecting_threads == [main] * 4
 
 
+@pytest.mark.parametrize("variant", ["plain", "replacement", "adaptive"])
+def test_wrapped_subbatch_job_same_bytes(variant, monkeypatch):
+    # the job is one module-level function, so a tracer or a per-thread
+    # timer that rebinds engine._subbatch sees every sub-batch on whichever
+    # thread runs it, and changes no byte
+    main = threading.current_thread()
+    want = _iteration_bytes(variant)
+    calls = []
+    real = engine._subbatch
+
+    def recording(atoms, gram, y, *args):
+        calls.append((y.shape[1], threading.current_thread() is main))
+        return real(atoms, gram, y, *args)
+    monkeypatch.setattr(engine, "_subbatch", recording)
+    assert _iteration_bytes(variant, EagerHelper()) == want
+    # in call order: job 1 elsewhere, job 0 on the caller, jobs 2 and 3
+    # elsewhere
+    assert calls == [(100, False), (100, True), (100, False), (100, False)]
+
+
 def test_concurrent_iterations_keep_their_bytes():
     # more runs than cores, each with its own helper, and thread switches
     # forced often: a buffer shared between calls, or a selection read
