@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import container
 from .approx import approximation_power
-from .experiments import (SCENARIOS, ExperimentSpec, SpecError, run_experiment,
+from .experiments import (SCENARIOS, ExperimentSpec, SpecError, _reading, run_experiment,
                           write_rows_csv)
 from .images import PatchConfig, extract_patches, load_image_gray
 
@@ -91,10 +91,10 @@ def _spec_from_args(args) -> ExperimentSpec:
     values = read_config_file(args.config) if args.config else {}
     values.update((k, v) for k, v in vars(args).items()
                   if k in _FIELD_TYPES and v is not None)
-    values.setdefault("scenario", next(s for s, cmd in SCENARIOS.items()
-                                       if cmd == args.command))
+    values.setdefault("scenario", next(s for s, scenario in SCENARIOS.items()
+                                       if scenario.command == args.command))
     spec = parse_spec(values)
-    if SCENARIOS[spec.scenario] != args.command:
+    if SCENARIOS[spec.scenario].command != args.command:
         raise SpecError(f"scenario: {spec.scenario!r} is not a "
                         f"{args.command} scenario")
     return spec
@@ -106,16 +106,17 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    with _reading("patch_side"):
+        config = PatchConfig(patch_side=args.patch_side)
+    s_range = _cast_field("s_range", args.s_range)
     dico = container.read_dictionary(args.dictionary)
-    image = load_image_gray(args.image)
-    patches = extract_patches(image, PatchConfig(patch_side=args.patch_side or 8))
+    patches = extract_patches(load_image_gray(args.image), config)
     if patches.d != dico.d:
         raise SpecError("patch dimension does not match the dictionary")
-    s_range = _cast_field("s_range", args.s_range or "1,2,3,4,5,6,7,8")
-    report = approximation_power(dico, patches, s_range,
-                                 augment_flat=not args.no_flat,
-                                 force_flat=args.force_flat)
-    out = Path(args.output_dir or "eval.csv")
+    with _reading("s_range"):
+        report = approximation_power(dico, patches, s_range, augment_flat=not args.no_flat,
+                                     force_flat=args.force_flat)
+    out = Path(args.output_dir)
     if out.is_dir():
         out = out / "approximation.csv"
     write_rows_csv(out, ("S", "relative_error"),
@@ -151,13 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="approximation power of a saved dictionary")
     ev.add_argument("--dictionary", "--dict", required=True)
     ev.add_argument("--image", required=True)
-    ev.add_argument("--patch-side", type=int)
-    ev.add_argument("--s-range")
+    ev.add_argument("--patch-side", type=int, default=8)
+    ev.add_argument("--s-range", default="1,2,3,4,5,6,7,8")
     ev.add_argument("--no-flat", action="store_true",
                     help="do not prepend the constant atom")
     ev.add_argument("--force-flat", action="store_true",
                     help="force the constant atom into every support")
-    ev.add_argument("--output-dir", "--output", dest="output_dir")
+    ev.add_argument("--output-dir", "--output", dest="output_dir", default="eval.csv")
     ev.set_defaults(func=_cmd_eval)
     return parser
 

@@ -34,10 +34,18 @@ from .signals import (CoefficientMixture, GeometricCoefficients, SignalModel,
                       make_dirac_hadamard, make_random_sphere, make_spurious_estimate,
                       noise_std_for_snr, perturbed_dictionary, rng_from_seed)
 
-# Scenario -> CLI subcommand; the first scenario of a subcommand is its default.
-SCENARIOS = {"replacement_compare": "learn", "plain_recovery": "learn",
-             "adaptive_synthetic": "learn", "adaptive_image": "learn",
-             "fixedpoint_probe": "probe", "contraction_sweep": "probe"}
+# Scenario -> its CLI subcommand and its results.csv columns (none: no
+# results.csv); the first scenario of a subcommand is its default.
+Scenario = namedtuple("Scenario", "command columns")
+SCENARIOS = {
+    "replacement_compare": Scenario("learn", ()),
+    "plain_recovery": Scenario("learn", ("trial", "recovered", "K")),
+    "adaptive_synthetic": Scenario("learn", ()),
+    "adaptive_image": Scenario("learn", ("trial", "S", "relative_error")),
+    "fixedpoint_probe": Scenario("probe", ("trial", "recovered", "K")),
+    "contraction_sweep": Scenario("probe", ("trial", "eps", "distance_before",
+                                            "distance_after", "ratio")),
+}
 
 # CSV header, one column per IterationRecord field in field order; these
 # fields get the paper's symbol as column name, the others keep their own.
@@ -115,12 +123,8 @@ class ExperimentSpec:
             raise SpecError("dict_kind: contraction_sweep draws a random-sphere "
                             "generating dictionary per trial")
         trial = _build_trial(self.scaled(), 0)
-        if self.scenario == "contraction_sweep" and trial.generating.d < 2:
-            raise SpecError("d: contraction_sweep needs d >= 2 to perturb an atom")
-        # contraction_sweep runs the engine on perturbed generating atoms
-        k_e = trial.generating.K if self.scenario == "contraction_sweep" else trial.init.K
-        if not self.scenario.startswith("adaptive") \
-                and self.sparsity > min(trial.init.d, k_e):
+        if trial.adaptive is None and any(self.sparsity > min(est.d, est.K)
+                                          for est in trial.init):
             raise SpecError("sparsity: exceeds min(d, K) of the estimate")
         return trial
 
@@ -166,12 +170,11 @@ def coefficient_model(spec: ExperimentSpec):
     return CoefficientMixture(components=tuple(parts))
 
 
-def generating_dictionary(spec: ExperimentSpec) -> Dictionary:
+def generating_dictionary(spec: ExperimentSpec, rng: np.random.Generator) -> Dictionary:
     if spec.dict_kind == "dirac-hadamard":
         return make_dirac_hadamard(spec.d, spec.n_atoms)
     if spec.dict_kind == "random-sphere":
-        return make_random_sphere(spec.d, spec.n_atoms,
-                                  rng_from_seed(derive_seed(spec.seed, 0xD1C0)))
+        return make_random_sphere(spec.d, spec.n_atoms, rng)
     raise ValueError(f"unknown dictionary kind {spec.dict_kind!r}")
 
 
@@ -192,13 +195,9 @@ def signal_model(spec: ExperimentSpec, generating: Dictionary,
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
+        return "" if math.isnan(value) else repr(value)
+    return "" if value is None else str(value)
 
 
 def record_row(rec: IterationRecord) -> list:
@@ -262,25 +261,33 @@ def _reading(names: str):
 
 
 def _build_trial(spec: ExperimentSpec, trial: int) -> _Trial:
-    """Build a trial's objects without drawing a batch; its initial estimate
-    has ``init_atoms`` random atoms (64 for an image), or a probe's
-    spurious triples."""
+    """Build a trial's objects without drawing a batch.  ``init`` holds the
+    estimates the engine starts from: a learning scenario's one, with
+    ``init_atoms`` random atoms (64 for an image) or spurious triples;
+    contraction_sweep's one per epsilon, drawn after its random-sphere
+    generating dictionary from the same (seed, 0xC0, trial) generator."""
+    sweep = spec.scenario == "contraction_sweep"
+    rng = rng_from_seed(derive_seed(spec.seed, 0xC0, trial) if sweep
+                        else derive_seed(spec.seed, 0xD1C0))
     with _reading("dict_kind, d, n_atoms, seed"):
-        generating = generating_dictionary(spec)
+        generating = generating_dictionary(spec, rng)
     with _reading("gen_sparsity, gen_weights, q_min, q_max, snr, outlier_rate, seed"):
         source = FreshBatches(signal_model(spec, generating, trial), spec.signals)
     image = spec.scenario == "adaptive_image"
     with _reading("patch_side"):
         patches = PatchConfig(patch_side=spec.patch_side) if image else None
     d, k = (spec.patch_side ** 2, 64) if image else (spec.d, spec.n_atoms)
-    if spec.scenario == "fixedpoint_probe" and spec.init_kind == "spurious":
+    if sweep:
+        with _reading("d, epsilons"):
+            init = tuple(perturbed_dictionary(generating, eps, rng) for eps in spec.epsilons)
+    elif spec.scenario == "fixedpoint_probe" and spec.init_kind == "spurious":
         with _reading("spurious_triples"):
-            init = make_spurious_estimate(generating, [
-                (3 * i, 3 * i + 2, 3 * i + 1) for i in range(spec.spurious_triples)])
+            init = (make_spurious_estimate(generating, [
+                (3 * i, 3 * i + 2, 3 * i + 1) for i in range(spec.spurious_triples)]),)
     else:
         with _reading("init_atoms"):
-            init = make_random_sphere(d, k if spec.init_atoms is None else spec.init_atoms,
-                                      rng_from_seed(derive_seed(spec.seed, 0x171, trial)))
+            init = (make_random_sphere(d, k if spec.init_atoms is None else spec.init_atoms,
+                                       rng_from_seed(derive_seed(spec.seed, 0x171, trial))),)
     with _reading("sparsity"):
         engine = EngineConfig(sparsity=spec.sparsity)
     with _reading("mu_max, combine"):
@@ -293,76 +300,58 @@ def _build_trial(spec: ExperimentSpec, trial: int) -> _Trial:
 
 
 def run_trial(spec: ExperimentSpec, trial: int):
-    """Run one trial; returns (labelled trajectories, extra csv rows)."""
+    """Run one trial; returns (labelled trajectories, results.csv rows): one
+    iteration per estimate for the sweep, else one run per label.  Each
+    compare label is replacement from the learned ("candidate") or random
+    ("random") candidate pool, or none."""
     generating, source, init, engine, policy, patches, adaptive = _build_trial(spec, trial)
+    seed = derive_seed(spec.seed, 0xE, trial)
     trajectories: List[Tuple[str, Trajectory]] = []
     rows: List[list] = []
-
-    def learn(label: str) -> Trajectory:
-        """Plain learning for "plain"/"none", else candidate replacement
-        from the learned ("candidate") or random ("random") pool."""
-        replacing = label in ("candidate", "random")
-        cfg = dc_replace(engine, variant="replacement") if replacing else engine
-        return run_learning(
-            init, source, cfg, spec.iterations, reference=generating, policy=policy,
-            candidate_source="random" if label == "random" else "learned",
-            recovery_threshold=spec.recovery_threshold,
-            stop_at_full_recovery=replacing and spec.stop_at_full_recovery,
-            seed=derive_seed(spec.seed, 0xE, trial))
-
-    if spec.scenario in ("plain_recovery", "fixedpoint_probe"):
-        traj = learn("plain")
-        trajectories.append(("plain", traj))
-        if traj.final_record is not None:
-            recovered = int(round(traj.final_record.recovery_rate * generating.K))
-            rows.append([trial, recovered, generating.K])
-
-    elif spec.scenario == "replacement_compare":
-        trajectories += [(label, learn(label)) for label in spec.compare]
-
-    elif spec.scenario == "adaptive_synthetic":
-        traj = run_adaptive(init, source, adaptive, spec.iterations,
-                            reference=generating,
-                            recovery_threshold=spec.recovery_threshold,
-                            seed=derive_seed(spec.seed, 0xE, trial))
-        trajectories.append(("adaptive", traj))
-
-    elif spec.scenario == "adaptive_image":
-        clean = load_image_gray(spec.image_path)
-        img = add_image_noise(clean, spec.image_sigma,
-                              rng_from_seed(derive_seed(spec.seed, 0x10, trial)))
-        traj = run_adaptive(init, FixedCorpus(extract_patches(img, patches)), adaptive,
-                            spec.iterations, seed=derive_seed(spec.seed, 0xE, trial))
-        trajectories.append(("adaptive", traj))
-        report = approximation_power(traj.dictionary, extract_patches(clean, patches),
-                                     spec.s_range, augment_flat=True)
-        for s, err in zip(report.sparsity_levels, report.relative_errors):
-            rows.append([trial, int(s), float(err)])
-
-    else:   # contraction_sweep
-        rng = rng_from_seed(derive_seed(spec.seed, 0xC0, trial))
-        generating = make_random_sphere(spec.d, spec.n_atoms, rng)
-        batch = FreshBatches(signal_model(spec, generating, trial), spec.signals).batch(1)
-        for eps in spec.epsilons:
-            estimate = perturbed_dictionary(generating, eps, rng)
+    if spec.scenario == "contraction_sweep":
+        batch = source.batch(1)
+        for eps, estimate in zip(spec.epsilons, init):
             out = run_iteration(estimate, batch, engine)
             d_before, _ = asym_distance(generating, estimate)
             d_after, _ = asym_distance(generating, out.new_dictionary)
             rows.append([trial, eps, d_before, d_after, d_after / d_before])
+    elif adaptive is not None:
+        reference = generating
+        if patches is not None:
+            clean = load_image_gray(spec.image_path)
+            noisy = add_image_noise(clean, spec.image_sigma,
+                                    rng_from_seed(derive_seed(spec.seed, 0x10, trial)))
+            source, reference = FixedCorpus(extract_patches(noisy, patches)), None
+        traj = run_adaptive(init[0], source, adaptive, spec.iterations, seed=seed,
+                            reference=reference, recovery_threshold=spec.recovery_threshold)
+        trajectories.append(("adaptive", traj))
+        if patches is not None:
+            report = approximation_power(traj.dictionary, extract_patches(clean, patches),
+                                         spec.s_range, augment_flat=True)
+            for s, err in zip(report.sparsity_levels, report.relative_errors):
+                rows.append([trial, int(s), float(err)])
+    else:
+        labels = spec.compare if spec.scenario == "replacement_compare" else ("plain",)
+        for label in labels:
+            replacing = label in ("candidate", "random")
+            cfg = dc_replace(engine, variant="replacement") if replacing else engine
+            traj = run_learning(
+                init[0], source, cfg, spec.iterations, reference=generating,
+                policy=policy, recovery_threshold=spec.recovery_threshold, seed=seed,
+                candidate_source="random" if label == "random" else "learned",
+                stop_at_full_recovery=replacing and spec.stop_at_full_recovery)
+            trajectories.append((label, traj))
+            if label == "plain" and traj.final_record is not None:
+                recovered = int(round(traj.final_record.recovery_rate * generating.K))
+                rows.append([trial, recovered, generating.K])
     return trajectories, rows
 
 
-_EXTRA_HEADERS = {
-    "plain_recovery": ("trial", "recovered", "K"),
-    "fixedpoint_probe": ("trial", "recovered", "K"),
-    "adaptive_image": ("trial", "S", "relative_error"),
-    "contraction_sweep": ("trial", "eps", "distance_before", "distance_after",
-                          "ratio"),
-}
-
-
 def worker_count() -> int:
-    return max(1, int(os.environ.get("ITKRM_WORKERS", "1")))
+    try:
+        return max(1, int(os.environ.get("ITKRM_WORKERS", "1")))
+    except ValueError as exc:
+        raise RuntimeError(f"ITKRM_WORKERS: {exc}") from None
 
 
 # The same seed gives the same bytes at a fixed BLAS thread count, which
@@ -405,6 +394,7 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     """Run all trials of a spec and write the artifact directory."""
     adaptive = spec.validate().adaptive
     spec = spec.scaled()
+    workers = worker_count()
     out_dir = Path(spec.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -422,7 +412,6 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     if spec.trials == 0:
         return out_dir
 
-    workers = worker_count()
     if workers > 1 and spec.trials > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -456,6 +445,6 @@ def run_experiment(spec: ExperimentSpec) -> Path:
         header, rows = aggregate_trajectories(trajectories)
         write_rows_csv(out_dir / f"aggregate_{label}.csv", header, rows)
     if extra_rows:
-        write_rows_csv(out_dir / "results.csv",
-                       _EXTRA_HEADERS.get(spec.scenario, ()), extra_rows)
+        write_rows_csv(out_dir / "results.csv", SCENARIOS[spec.scenario].columns,
+                       extra_rows)
     return out_dir

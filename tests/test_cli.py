@@ -85,7 +85,7 @@ _PLAIN = ["learn", "--scenario", "plain_recovery", "--d", "16", "--K", "20"]
 
 
 # Every value exits 2 before anything is written.  From the fifth row on,
-# but for -1 spurious triples and the last row, the check is a
+# but for -1 spurious triples and the dict_kind row, the check is a
 # constructor's, which validate reaches by building the first trial's
 # objects.
 @pytest.mark.parametrize("argv,field", [
@@ -112,6 +112,9 @@ _PLAIN = ["learn", "--scenario", "plain_recovery", "--d", "16", "--K", "20"]
     # a valid dirac-hadamard geometry, refused rather than silently ignored
     ([*_PROBE, "--scenario", "contraction_sweep", "--dict", "dirac-hadamard",
       "--K", "64"], "dict_kind"),
+    # perturbing an atom needs a second dimension
+    (["probe", "--scenario", "contraction_sweep", "--d", "1", "--S", "1",
+      "--gen-sparsity", "1"], "d"),
 ])
 def test_cli_probe_spec_error_exit_code(argv, field, tmp_path, capsys):
     """Exit 2 naming the field, for learn as for probe."""
@@ -129,6 +132,32 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     code = main(["eval", "--dict", str(tmp_path / "missing.dict"),
                  "--image", str(tmp_path / "missing.pgm")])
     assert code == 3
+
+
+@pytest.mark.parametrize("flag,field", [("--patch-side", "patch_side"),
+                                        ("--s-range", "s_range")])
+def test_cli_eval_flag_error_exit_code(flag, field, tmp_path, capsys):
+    """A zero patch side or sparsity level exits 2 naming its field, and
+    writes no CSV; the 64-dimensional dictionary fits the default side 8."""
+    img_path, dict_path = tmp_path / "img.pgm", tmp_path / "d.dict"
+    save_image_pgm(img_path, synthetic_image(24, seed=3))
+    container.write_dictionary(dict_path, make_random_sphere(64, 12, rng_from_seed(0)))
+    out = tmp_path / "eval.csv"
+    code = main(["eval", "--dict", str(dict_path), "--image", str(img_path),
+                 flag, "0", "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: {field}: "), err
+    assert not out.exists()
+
+
+def test_cli_malformed_worker_count_exits_3_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ITKRM_WORKERS", "two")
+    out = tmp_path / "run"
+    code = main([*_PLAIN, "--N", "200", "--T", "1", "--trials", "1", "--output", str(out)])
+    assert code == 3
+    assert "ITKRM_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_eval_writes_csv(tmp_path, capsys):
